@@ -15,7 +15,6 @@
 //! the same inbox as network traffic.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,7 +27,7 @@ use mrnet_obs::{
 use mrnet_packet::bytes::Bytes;
 use mrnet_packet::{BatchPolicy, Batcher, Packet, Rank, StreamId};
 use mrnet_transport::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
-use mrnet_transport::{ClockEstimate, SharedConnection};
+use mrnet_transport::{ClockEstimate, FrameSink, SharedConnection};
 
 use crate::delivery::Delivery;
 use crate::error::{MrnetError, Result};
@@ -38,9 +37,6 @@ use crate::introspect::{self, METRICS_REPLY, METRICS_REQUEST, METRICS_STREAM, TR
 use crate::proto::{decode_frame, encode_data_frame, encode_traced_data_frame, Control, Frame};
 use crate::route::RoutingTable;
 use crate::streams::StreamDef;
-
-/// How often pump threads re-check the stop flag while idle.
-const PUMP_POLL: Duration = Duration::from_millis(50);
 
 /// Ping exchanges each parent runs per child connection before
 /// resolving the clock estimate (minimum-RTT sample wins). Pings are
@@ -140,7 +136,6 @@ pub struct NodeLoop {
     epoch: Instant,
     child_batchers: Vec<Batcher>,
     parent_batcher: Batcher,
-    stop: Arc<AtomicBool>,
     ready_tx: Option<Sender<Vec<Rank>>>,
     /// Root only: receives `(backend rank, endpoint)` rendezvous
     /// advertisements harvested from AttachInfo messages during
@@ -185,33 +180,32 @@ enum FailureOrigin {
     Parent,
 }
 
-fn spawn_pump(
-    conn: SharedConnection,
-    stop: Arc<AtomicBool>,
-    tx: Sender<Inbound>,
-    wrap: impl Fn(Bytes) -> Inbound + Send + 'static,
-    closed: Inbound,
-) {
-    std::thread::Builder::new()
-        .name("mrnet-pump".to_owned())
-        .spawn(move || loop {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match conn.recv_timeout(PUMP_POLL) {
-                Ok(Some(frame)) => {
-                    if tx.send(wrap(frame)).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) => continue,
-                Err(_) => {
-                    let _ = tx.send(closed);
-                    return;
-                }
-            }
-        })
-        .expect("spawn pump thread");
+/// Delivers one connection's frames into the node inbox, on the
+/// thread that produced them: the peer's sending thread in-process, the
+/// TCP reader thread otherwise. The inbox is unbounded, so a delivery
+/// never blocks.
+struct InboxSink {
+    inbox: Sender<Inbound>,
+    /// `None` for the parent connection, `Some(i)` for child `i`.
+    child: Option<usize>,
+}
+
+impl FrameSink for InboxSink {
+    fn frame(&self, frame: Bytes) -> bool {
+        let msg = match self.child {
+            None => Inbound::Parent(frame),
+            Some(i) => Inbound::Child(i, frame),
+        };
+        self.inbox.send(msg).is_ok()
+    }
+
+    fn closed(self: Box<Self>) {
+        let msg = match self.child {
+            None => Inbound::ParentClosed,
+            Some(i) => Inbound::ChildClosed(i),
+        };
+        let _ = self.inbox.send(msg);
+    }
 }
 
 impl NodeLoop {
@@ -221,7 +215,8 @@ impl NodeLoop {
         unbounded()
     }
 
-    /// Builds a node loop and starts its connection pumps.
+    /// Builds a node loop and points every connection's inbound frames
+    /// at its inbox.
     ///
     /// `inbox` is the channel pair from [`NodeLoop::inbox`] (created by
     /// the caller so the front-end can keep a command sender before the
@@ -240,24 +235,17 @@ impl NodeLoop {
         inbox: (Sender<Inbound>, Receiver<Inbound>),
     ) -> NodeLoop {
         let (tx, rx) = inbox;
-        let stop = Arc::new(AtomicBool::new(false));
         if let Some(p) = &parent {
-            spawn_pump(
-                p.clone(),
-                stop.clone(),
-                tx.clone(),
-                Inbound::Parent,
-                Inbound::ParentClosed,
-            );
+            p.set_sink(Box::new(InboxSink {
+                inbox: tx.clone(),
+                child: None,
+            }));
         }
         for (i, c) in children.iter().enumerate() {
-            spawn_pump(
-                c.clone(),
-                stop.clone(),
-                tx.clone(),
-                move |f| Inbound::Child(i, f),
-                Inbound::ChildClosed(i),
-            );
+            c.set_sink(Box::new(InboxSink {
+                inbox: tx.clone(),
+                child: Some(i),
+            }));
         }
         let n = children.len();
         NodeLoop {
@@ -277,7 +265,6 @@ impl NodeLoop {
             epoch: Instant::now(),
             child_batchers: (0..n).map(|_| Batcher::new(batch_policy)).collect(),
             parent_batcher: Batcher::new(batch_policy),
-            stop,
             ready_tx,
             attach_tx: None,
             metrics: Arc::new(NodeMetrics::new()),
@@ -497,14 +484,14 @@ impl NodeLoop {
     }
 
     fn shutdown_cleanup(&mut self) {
-        // Tell the subtree, release pumps, close the mailbox.
+        // Tell the subtree and close the mailbox. Dropping the inbox
+        // with the loop makes every later delivery into it fail.
         let frame = Control::Shutdown.to_frame();
         for (i, c) in self.children.iter().enumerate() {
             if self.child_alive[i] {
                 let _ = c.send(frame.clone());
             }
         }
-        self.stop.store(true, Ordering::Relaxed);
         if let Some(d) = &self.delivery {
             d.close();
         }
@@ -696,7 +683,7 @@ impl NodeLoop {
         if sync.resolved {
             return; // Stray duplicate pong.
         }
-        if sync.best.map_or(true, |best| est.better_than(&best)) {
+        if sync.best.is_none_or(|best| est.better_than(&best)) {
             sync.best = Some(est);
         }
         sync.exchanged += 1;

@@ -481,12 +481,15 @@ impl Stream {
         self.net.delivery.recv_on(self.def.id, Some(timeout))
     }
 
-    /// Non-blocking receive.
+    /// Non-blocking receive: `Ok(None)` when no packet is queued. One
+    /// locked pop, so a concurrent receiver taking the last packet
+    /// cannot leave this call blocked. Errors as [`Stream::recv`] does
+    /// once the stream has failed or the network shut down.
     pub fn try_recv(&self) -> Result<Option<Packet>> {
-        if self.net.delivery.pending_on(self.def.id) > 0 {
-            Ok(Some(self.net.delivery.recv_on(self.def.id, None)?))
-        } else {
-            Ok(None)
+        match self.net.delivery.recv_on(self.def.id, Some(Duration::ZERO)) {
+            Ok(packet) => Ok(Some(packet)),
+            Err(MrnetError::Timeout) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 

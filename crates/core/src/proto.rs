@@ -665,7 +665,7 @@ mod tests {
                 send_us: 456,
             }],
         };
-        let frame = encode_traced_data_frame(&packets, &[env.clone()]);
+        let frame = encode_traced_data_frame(&packets, std::slice::from_ref(&env));
         match decode_frame(frame).unwrap() {
             Frame::Traced(got, envs) => {
                 assert_eq!(got, packets);

@@ -216,6 +216,28 @@ fn garbage_frame_to_node_severs_only_that_peer() {
     drop(raw);
 }
 
+/// A drained stream whose every end-point died reports the failure
+/// from the non-blocking receive too, instead of "nothing yet" forever.
+#[test]
+fn try_recv_on_a_failed_empty_stream_is_all_endpoints_failed() {
+    let topo = generator::flat(2, &mut pool()).unwrap();
+    let dep = launch_local(topo).unwrap();
+    let net = dep.network.clone();
+    let comm = net.broadcast_communicator();
+    let sum = net.registry().id_of("d_sum").unwrap();
+    let stream = net.new_stream(&comm, sum, SyncMode::WaitForAll).unwrap();
+    drop(dep.backends);
+    // The root fails the stream before it reports the last death.
+    while net.failed_ranks().len() < 2 {
+        net.next_event_timeout(TIMEOUT).unwrap();
+    }
+    assert_eq!(
+        stream.try_recv().err(),
+        Some(MrnetError::AllEndpointsFailed)
+    );
+    net.shutdown();
+}
+
 #[test]
 fn timeout_streams_survive_dead_backends() {
     // The paper's TimeOut synchronization mode exists exactly for

@@ -765,3 +765,62 @@ fn single_connection_front_end_offloads_aggregation() {
     assert_eq!(stats.received, 1);
     net.shutdown();
 }
+
+/// Names of this process's threads, from `/proc/self/task/*/comm`.
+#[cfg(target_os = "linux")]
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_owned())
+        .collect()
+}
+
+/// Connections deliver straight into the node inbox (§2.3: one event
+/// loop per process): a live tree over either transport runs no thread
+/// whose only job is moving frames between queues.
+#[cfg(target_os = "linux")]
+#[test]
+fn live_trees_run_no_pump_threads() {
+    for transport in [WireTransport::Channels, WireTransport::Tcp] {
+        let topo = generator::balanced(2, 2, &mut pool()).unwrap();
+        let dep = NetworkBuilder::new(topo)
+            .transport(transport)
+            .launch()
+            .unwrap();
+        let net = dep.network.clone();
+        let comm = net.broadcast_communicator();
+        let sum = net.registry().id_of("d_sum").unwrap();
+        let stream = net.new_stream(&comm, sum, SyncMode::WaitForAll).unwrap();
+        stream.send(0, "%d", vec![Value::Int32(0)]).unwrap();
+        let backends = dep.backends;
+        for be in &backends {
+            let (_, sid) = be.recv_timeout(TIMEOUT).unwrap().expect("broadcast");
+            be.send(sid, 0, "%d", vec![Value::Int32(1)]).unwrap();
+        }
+        let result = stream.recv_timeout(TIMEOUT).unwrap();
+        assert_eq!(result.get(0).unwrap().as_i32(), Some(4));
+        let pumps: Vec<String> = thread_names()
+            .into_iter()
+            .filter(|name| name.contains("pump"))
+            .collect();
+        assert!(pumps.is_empty(), "{transport:?}: pump threads {pumps:?}");
+        net.shutdown();
+    }
+}
+
+/// `Stream::try_recv` on an empty stream answers at once.
+#[test]
+fn try_recv_on_an_empty_stream_returns_at_once() {
+    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
+    let dep = launch_local(topo).unwrap();
+    let net = dep.network.clone();
+    let comm = net.broadcast_communicator();
+    let sum = net.registry().id_of("d_sum").unwrap();
+    let stream = net.new_stream(&comm, sum, SyncMode::WaitForAll).unwrap();
+    let start = std::time::Instant::now();
+    assert!(stream.try_recv().unwrap().is_none());
+    assert!(start.elapsed() < Duration::from_secs(1));
+    drop(dep.backends);
+    net.shutdown();
+}

@@ -158,7 +158,7 @@ impl TraceSampler {
             return false;
         }
         let n = self.seen.fetch_add(1, Ordering::Relaxed);
-        n % sample_every() == 0
+        n.is_multiple_of(sample_every())
     }
 }
 

@@ -317,7 +317,7 @@ mod tests {
         let b = pkt(1); // equal contents, different buffers
         let mut batcher = Batcher::new(BatchPolicy::default());
         batcher.push(a.clone());
-        assert!(batcher.pending_matches(&[a.clone()]));
+        assert!(batcher.pending_matches(std::slice::from_ref(&a)));
         assert!(!batcher.pending_matches(&[b])); // handle identity, not equality
         assert!(!batcher.pending_matches(&[])); // length mismatch
         assert!(!batcher.pending_matches(&[a.clone(), a]));

@@ -2,7 +2,7 @@
 //! `Mutex` and one `Condvar`, optionally bounded.
 //!
 //! `std::sync::mpsc` does not fit the uses here: its `Receiver` is not
-//! `Sync` (a [`crate::Connection`] must be, and owns one), and no half
+//! `Sync` (the core's failure ledger is shared and owns one), and no half
 //! of it reports how many messages are queued (the node inbox gauge
 //! reads [`Receiver::len`], the TCP writer queue gauge
 //! [`Sender::len`]).

@@ -88,10 +88,27 @@ impl ConnCounters {
     }
 }
 
+/// Where a connection delivers inbound frames once
+/// [`Connection::set_sink`] has installed it.
+///
+/// Both methods run on the thread that produced the frame (the sending
+/// thread for the in-process transport, the reader thread for TCP),
+/// with the connection's receive lock held. A sink must therefore
+/// never block and never call back into the connection.
+pub trait FrameSink: Send {
+    /// Takes one frame. Returns false once the receiver is gone; the
+    /// connection then stops delivering.
+    fn frame(&self, frame: Bytes) -> bool;
+
+    /// The connection ended. Called exactly once, after the last frame.
+    fn closed(self: Box<Self>);
+}
+
 /// A bidirectional, ordered, reliable frame pipe between two processes.
 ///
-/// Implementations are `Sync`: the receive side may be pumped by one
-/// thread while another sends.
+/// Implementations are `Sync`: any thread may send, and frames are
+/// received either by polling ([`Connection::recv`]) or by a
+/// [`FrameSink`] the connection pushes into.
 pub trait Connection: Send + Sync {
     /// Sends one frame. Enqueues without blocking while the transport's
     /// outbound buffer has room; once the buffer is at capacity the
@@ -108,19 +125,21 @@ pub trait Connection: Send + Sync {
     }
 
     /// Receives the next frame, blocking until one arrives or the peer
-    /// hangs up.
+    /// hangs up. Returns `Err` only once the peer has hung up *and*
+    /// all buffered frames have been received.
     fn recv(&self) -> Result<Bytes>;
 
-    /// Receives the next frame if one is already buffered.
-    ///
-    /// Returns `Ok(None)` when no frame is pending. Returns
-    /// `Err(Closed)` only once the peer has hung up *and* all buffered
-    /// frames have been drained.
-    fn try_recv(&self) -> Result<Option<Bytes>>;
-
-    /// Receives the next frame, waiting at most `timeout`.
+    /// Receives the next frame, waiting at most `timeout` (a zero
+    /// timeout only takes a frame already buffered).
     /// Returns `Ok(None)` on timeout.
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>>;
+
+    /// Switches this endpoint to push delivery. Frames already
+    /// buffered go to `sink` first, in order; every later frame goes
+    /// there directly, on the thread that produced it. If the peer has
+    /// already hung up, `sink.closed()` follows the buffered frames at
+    /// once. Call at most once; afterwards `recv` sees no frames.
+    fn set_sink(&self, sink: Box<dyn FrameSink>);
 
     /// Human-readable description of the peer, for diagnostics.
     fn peer(&self) -> String;
@@ -135,8 +154,7 @@ pub trait Connection: Send + Sync {
 /// A boxed connection, the form the core library passes around.
 pub type BoxedConnection = Box<dyn Connection>;
 
-/// A shared connection: the receive side may be pumped by one thread
-/// while another thread sends.
+/// A shared connection: one endpoint several threads send on.
 pub type SharedConnection = std::sync::Arc<dyn Connection>;
 
 /// Something that accepts inbound connections (a bound TCP port or a
@@ -151,3 +169,57 @@ pub trait Listener: Send {
 
 /// A boxed listener.
 pub type BoxedListener = Box<dyn Listener>;
+
+/// A [`FrameSink`] that records what it sees, for the transports'
+/// delivery tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::time::Duration;
+
+    use mrnet_packet::bytes::Bytes;
+
+    use super::FrameSink;
+    use crate::chan::{unbounded, Receiver, Sender};
+
+    /// One delivery a recording sink saw.
+    #[derive(Debug, PartialEq, Eq)]
+    pub(crate) enum Seen {
+        Frame(Bytes),
+        Closed,
+    }
+
+    struct Recorder(Sender<Seen>);
+
+    impl FrameSink for Recorder {
+        fn frame(&self, frame: Bytes) -> bool {
+            self.0.send(Seen::Frame(frame)).is_ok()
+        }
+
+        fn closed(self: Box<Self>) {
+            let _ = self.0.send(Seen::Closed);
+        }
+    }
+
+    /// A recording sink and the receiver its deliveries land on.
+    pub(crate) fn recorder() -> (Box<dyn FrameSink>, Receiver<Seen>) {
+        let (tx, rx) = unbounded();
+        (Box::new(Recorder(tx)), rx)
+    }
+
+    /// The frame carrying `i`, as the tests send it.
+    pub(crate) fn numbered(i: u32) -> Bytes {
+        Bytes::copy_from_slice(&i.to_le_bytes())
+    }
+
+    /// Asserts the sink saw frames `0..n` in order, then one close,
+    /// then nothing more.
+    pub(crate) fn expect_numbered_then_closed(seen: &Receiver<Seen>, n: u32) {
+        let wait = Duration::from_secs(10);
+        for i in 0..n {
+            assert_eq!(seen.recv_timeout(wait), Ok(Seen::Frame(numbered(i))));
+        }
+        assert_eq!(seen.recv_timeout(wait), Ok(Seen::Closed));
+        // The recorder went away with its one close.
+        assert!(seen.recv_timeout(Duration::from_millis(50)).is_err());
+    }
+}

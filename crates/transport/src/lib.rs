@@ -13,13 +13,14 @@ pub mod chan;
 mod clock;
 mod connection;
 mod error;
+mod incoming;
 mod local;
 mod retry;
 mod tcp;
 
 pub use clock::ClockEstimate;
 pub use connection::{
-    BoxedConnection, BoxedListener, ConnStats, Connection, Listener, SharedConnection,
+    BoxedConnection, BoxedListener, ConnStats, Connection, FrameSink, Listener, SharedConnection,
 };
 pub use error::{Result, TransportError};
 pub use local::{LocalConnection, LocalFabric, LocalListener};

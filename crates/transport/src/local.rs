@@ -10,23 +10,28 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mrnet_obs::Unpoisoned;
 use mrnet_packet::bytes::Bytes;
 
-use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::connection::{
-    BoxedConnection, BoxedListener, ConnCounters, ConnStats, Connection, Listener,
+    BoxedConnection, BoxedListener, ConnCounters, ConnStats, Connection, FrameSink, Listener,
 };
 use crate::error::{Result, TransportError};
+use crate::incoming::Incoming;
 
-/// One end of an in-process connection.
+/// One end of an in-process connection. A send pushes into the peer's
+/// receive half: onto its queue, or through its sink on the sending
+/// thread, so the transport runs no thread of its own.
 pub struct LocalConnection {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    /// Frames the peer sends to this endpoint.
+    incoming: Arc<Incoming>,
+    /// The peer's receive half, which this endpoint's sends feed.
+    outgoing: Arc<Incoming>,
     peer: String,
-    counters: ConnCounters,
+    counters: Arc<ConnCounters>,
 }
 
 impl LocalConnection {
@@ -36,59 +41,59 @@ impl LocalConnection {
     /// first returned endpoint is held by `a_name` and reports its peer
     /// as `b_name`, and vice versa.
     pub fn pair(a_name: &str, b_name: &str) -> (LocalConnection, LocalConnection) {
-        let (a_tx, b_rx) = unbounded();
-        let (b_tx, a_rx) = unbounded();
+        let a_counters = Arc::new(ConnCounters::default());
+        let b_counters = Arc::new(ConnCounters::default());
+        let a_in = Arc::new(Incoming::new(None, a_counters.clone()));
+        let b_in = Arc::new(Incoming::new(None, b_counters.clone()));
         (
             LocalConnection {
-                tx: a_tx,
-                rx: a_rx,
+                incoming: a_in.clone(),
+                outgoing: b_in.clone(),
                 peer: b_name.to_owned(),
-                counters: ConnCounters::default(),
+                counters: a_counters,
             },
             LocalConnection {
-                tx: b_tx,
-                rx: b_rx,
+                incoming: b_in,
+                outgoing: a_in,
                 peer: a_name.to_owned(),
-                counters: ConnCounters::default(),
+                counters: b_counters,
             },
         )
+    }
+}
+
+impl Drop for LocalConnection {
+    fn drop(&mut self) {
+        self.incoming.abandon();
+        self.outgoing.end();
     }
 }
 
 impl Connection for LocalConnection {
     fn send(&self, frame: Bytes) -> Result<()> {
         let len = frame.len();
-        self.tx.send(frame).map_err(|_| TransportError::Closed)?;
+        if !self.outgoing.push(frame) {
+            return Err(TransportError::Closed);
+        }
         self.counters.note_sent(len);
         Ok(())
     }
 
     fn recv(&self) -> Result<Bytes> {
-        let frame = self.rx.recv().map_err(|_| TransportError::Closed)?;
-        self.counters.note_recv(frame.len());
-        Ok(frame)
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>> {
-        match self.rx.try_recv() {
-            Ok(frame) => {
-                self.counters.note_recv(frame.len());
-                Ok(Some(frame))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(TransportError::Closed),
+        match self.incoming.recv(None) {
+            Ok(Some(frame)) => Ok(frame),
+            _ => Err(TransportError::Closed),
         }
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => {
-                self.counters.note_recv(frame.len());
-                Ok(Some(frame))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
-        }
+        self.incoming
+            .recv(Instant::now().checked_add(timeout))
+            .map_err(|_| TransportError::Closed)
+    }
+
+    fn set_sink(&self, sink: Box<dyn FrameSink>) {
+        self.incoming.set_sink(sink);
     }
 
     fn peer(&self) -> String {
@@ -194,6 +199,7 @@ impl LocalListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connection::testing::{expect_numbered_then_closed, numbered, recorder};
 
     #[test]
     fn pair_carries_frames_both_ways() {
@@ -218,11 +224,14 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_nonblocking() {
+    fn zero_timeout_recv_is_nonblocking() {
         let (a, b) = LocalConnection::pair("x", "y");
-        assert_eq!(b.try_recv().unwrap(), None);
+        assert_eq!(b.recv_timeout(Duration::ZERO).unwrap(), None);
         a.send(Bytes::from_static(b"z")).unwrap();
-        assert_eq!(b.try_recv().unwrap(), Some(Bytes::from_static(b"z")));
+        assert_eq!(
+            b.recv_timeout(Duration::ZERO).unwrap(),
+            Some(Bytes::from_static(b"z"))
+        );
     }
 
     #[test]
@@ -255,7 +264,7 @@ mod tests {
         a.send(Bytes::from_static(b"12345")).unwrap();
         a.send(Bytes::from_static(b"678")).unwrap();
         assert_eq!(b.recv().unwrap().len(), 5);
-        assert_eq!(b.try_recv().unwrap().unwrap().len(), 3);
+        assert_eq!(b.recv_timeout(Duration::ZERO).unwrap().unwrap().len(), 3);
         let sa = a.stats();
         assert_eq!(sa.frames_sent, 2);
         assert_eq!(sa.bytes_sent, 8);
@@ -264,6 +273,58 @@ mod tests {
         assert_eq!(sb.frames_recv, 2);
         assert_eq!(sb.bytes_recv, 8);
         assert_eq!(sb.bytes_sent, 0);
+    }
+
+    const N: u32 = 100;
+
+    #[test]
+    fn frames_before_and_after_set_sink_arrive_in_order() {
+        let (a, b) = LocalConnection::pair("x", "y");
+        for i in 0..N {
+            a.send(numbered(i)).unwrap();
+        }
+        let (sink, seen) = recorder();
+        b.set_sink(sink);
+        for i in N..2 * N {
+            a.send(numbered(i)).unwrap();
+        }
+        assert_eq!(b.stats().frames_recv, u64::from(2 * N));
+        drop(a);
+        expect_numbered_then_closed(&seen, 2 * N);
+    }
+
+    #[test]
+    fn drop_before_set_sink_gives_the_frames_then_one_close() {
+        let (a, b) = LocalConnection::pair("x", "y");
+        for i in 0..N {
+            a.send(numbered(i)).unwrap();
+        }
+        drop(a);
+        let (sink, seen) = recorder();
+        b.set_sink(sink);
+        expect_numbered_then_closed(&seen, N);
+    }
+
+    #[test]
+    fn drop_after_set_sink_closes_once_after_the_last_frame() {
+        let (a, b) = LocalConnection::pair("x", "y");
+        let (sink, seen) = recorder();
+        b.set_sink(sink);
+        for i in 0..N {
+            a.send(numbered(i)).unwrap();
+        }
+        drop(a);
+        expect_numbered_then_closed(&seen, N);
+    }
+
+    #[test]
+    fn sends_fail_once_the_sink_refuses() {
+        let (a, b) = LocalConnection::pair("x", "y");
+        let (sink, seen) = recorder();
+        b.set_sink(sink);
+        drop(seen);
+        assert_eq!(a.send(numbered(0)).unwrap_err(), TransportError::Closed);
+        assert_eq!(a.send(numbered(1)).unwrap_err(), TransportError::Closed);
     }
 
     #[test]

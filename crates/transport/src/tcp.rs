@@ -3,10 +3,11 @@
 //! This is the deployment transport — the overlay network actually
 //! crosses process and host boundaries, exactly as the original
 //! MRNet's socket layer does. Each frame is a `u32` little-endian
-//! length followed by that many payload bytes. A background reader
-//! thread pumps inbound frames into a channel so that the non-blocking
-//! `try_recv`/`recv_timeout` used by internal-process event loops work
-//! uniformly across transports.
+//! length followed by that many payload bytes. A reader thread per
+//! connection reads whole frames off the socket. Until a
+//! [`crate::FrameSink`] is installed it queues them (at most
+//! `INBOUND_DEPTH`, then the socket pushes back) for `recv`; once one
+//! is, the reader hands each frame straight to the sink.
 //!
 //! # Send pipeline
 //!
@@ -42,11 +43,12 @@ use std::time::{Duration, Instant};
 use mrnet_obs::Unpoisoned;
 use mrnet_packet::bytes::Bytes;
 
-use crate::chan::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crate::chan::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use crate::connection::{
-    BoxedConnection, BoxedListener, ConnCounters, ConnStats, Connection, Listener,
+    BoxedConnection, BoxedListener, ConnCounters, ConnStats, Connection, FrameSink, Listener,
 };
 use crate::error::{Result, TransportError};
+use crate::incoming::Incoming;
 
 /// Maximum accepted frame size; protects against corrupt length
 /// prefixes.
@@ -65,8 +67,8 @@ const HEARTBEAT_MARKER: u32 = u32::MAX;
 /// A peer is declared dead after this many silent heartbeat intervals.
 const HEARTBEAT_MISSES: u32 = 3;
 
-/// How many inbound frames may queue before the reader thread applies
-/// back-pressure to the socket.
+/// How many inbound frames may queue, while no sink is installed,
+/// before the reader thread applies back-pressure to the socket.
 const INBOUND_DEPTH: usize = 1024;
 
 /// Environment variable overriding the outbound send-queue depth in
@@ -93,8 +95,7 @@ fn send_queue_depth() -> usize {
 }
 
 /// Shared slot where the reader thread records why the connection
-/// died, read by `recv`/`try_recv`/`recv_timeout` once the inbound
-/// channel disconnects.
+/// died, read by `recv`/`recv_timeout` once the inbound queue ends.
 type DeathNote = Arc<Mutex<Option<TransportError>>>;
 
 fn heartbeat_interval() -> Option<Duration> {
@@ -110,7 +111,7 @@ fn heartbeat_interval() -> Option<Duration> {
 /// One end of a TCP connection carrying length-prefixed frames.
 pub struct TcpConnection {
     outbound: Sender<Bytes>,
-    inbound: Receiver<Bytes>,
+    incoming: Arc<Incoming>,
     peer: String,
     counters: Arc<ConnCounters>,
     death: DeathNote,
@@ -153,7 +154,7 @@ fn read_into(
 
 struct ReaderLoop {
     stream: TcpStream,
-    tx: Sender<Bytes>,
+    incoming: Arc<Incoming>,
     death: DeathNote,
     /// `Some` when heartbeats are enabled; the reader then uses a
     /// socket read timeout to poll the silence deadline.
@@ -174,6 +175,12 @@ impl ReaderLoop {
     }
 
     fn run(mut self) {
+        self.read_frames();
+        // After any death note: a receiver that sees the end reads it.
+        self.incoming.end();
+    }
+
+    fn read_frames(&mut self) {
         let mut last_heard = Instant::now();
         loop {
             // Length prefix. EOF with zero bytes here is an orderly
@@ -229,8 +236,8 @@ impl ReaderLoop {
                     Err(e) => return self.die(TransportError::PeerGone(e.to_string())),
                 }
             }
-            if self.tx.send(Bytes::from(payload)).is_err() {
-                return; // local side dropped the connection
+            if !self.incoming.push(Bytes::from(payload)) {
+                return; // nobody receives any more
             }
         }
     }
@@ -387,15 +394,15 @@ impl TcpConnection {
             //3-interval deadline.
             reader_stream.set_read_timeout(Some((interval / 2).max(Duration::from_millis(5))))?;
         }
-        let (tx, rx) = bounded(INBOUND_DEPTH);
+        let counters = Arc::new(ConnCounters::default());
+        let incoming = Arc::new(Incoming::new(Some(INBOUND_DEPTH), counters.clone()));
         let death: DeathNote = Arc::new(Mutex::new(None));
         spawn_reader(ReaderLoop {
             stream: reader_stream,
-            tx,
+            incoming: incoming.clone(),
             death: death.clone(),
             heartbeat,
         });
-        let counters = Arc::new(ConnCounters::default());
         let (out_tx, out_rx) = bounded(send_queue_depth());
         spawn_writer(WriterLoop {
             stream,
@@ -406,7 +413,7 @@ impl TcpConnection {
         });
         Ok(TcpConnection {
             outbound: out_tx,
-            inbound: rx,
+            incoming,
             peer,
             counters,
             death,
@@ -431,12 +438,17 @@ impl TcpConnection {
     }
 }
 
-// No `Drop` impl: dropping the connection drops the outbound sender,
-// which disconnects the writer's channel; the writer drains whatever
-// was already queued (in-flight shutdown frames must still reach the
-// peer) and then shuts the socket down in both directions — giving the
-// peer its EOF and popping our own reader thread out of its blocking
-// read.
+// Dropping the connection abandons its receive half, which releases a
+// reader waiting on a full queue, and drops the outbound sender, which
+// disconnects the writer's channel; the writer drains whatever was
+// already queued (in-flight shutdown frames must still reach the peer)
+// and then shuts the socket down in both directions — giving the peer
+// its EOF and popping our own reader thread out of its blocking read.
+impl Drop for TcpConnection {
+    fn drop(&mut self) {
+        self.incoming.abandon();
+    }
+}
 
 impl Connection for TcpConnection {
     fn send(&self, frame: Bytes) -> Result<()> {
@@ -465,31 +477,20 @@ impl Connection for TcpConnection {
     }
 
     fn recv(&self) -> Result<Bytes> {
-        let frame = self.inbound.recv().map_err(|_| self.death_reason())?;
-        self.counters.note_recv(frame.len());
-        Ok(frame)
-    }
-
-    fn try_recv(&self) -> Result<Option<Bytes>> {
-        match self.inbound.try_recv() {
-            Ok(frame) => {
-                self.counters.note_recv(frame.len());
-                Ok(Some(frame))
-            }
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(self.death_reason()),
+        match self.incoming.recv(None) {
+            Ok(Some(frame)) => Ok(frame),
+            _ => Err(self.death_reason()),
         }
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>> {
-        match self.inbound.recv_timeout(timeout) {
-            Ok(frame) => {
-                self.counters.note_recv(frame.len());
-                Ok(Some(frame))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(self.death_reason()),
-        }
+        self.incoming
+            .recv(Instant::now().checked_add(timeout))
+            .map_err(|_| self.death_reason())
+    }
+
+    fn set_sink(&self, sink: Box<dyn FrameSink>) {
+        self.incoming.set_sink(sink);
     }
 
     fn peer(&self) -> String {
@@ -538,6 +539,7 @@ impl Listener for TcpTransportListener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connection::testing::{expect_numbered_then_closed, numbered, recorder};
 
     fn pair() -> (TcpConnection, BoxedConnection) {
         let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
@@ -615,9 +617,9 @@ mod tests {
     }
 
     #[test]
-    fn timeout_and_try_recv() {
+    fn timeout_and_zero_timeout_recv() {
         let (client, server) = pair();
-        assert_eq!(server.try_recv().unwrap(), None);
+        assert_eq!(server.recv_timeout(Duration::ZERO).unwrap(), None);
         assert_eq!(
             server.recv_timeout(Duration::from_millis(10)).unwrap(),
             None
@@ -627,6 +629,82 @@ mod tests {
             server.recv_timeout(Duration::from_secs(5)).unwrap(),
             Some(Bytes::from_static(b"x"))
         );
+    }
+
+    const N: u32 = 100;
+
+    /// Waits until `conn`'s reader thread has exited, which it does
+    /// only after ending the receive half.
+    fn wait_reader_exit(conn: &TcpConnection) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&conn.incoming) > 1 {
+            assert!(Instant::now() < deadline, "reader thread never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn frames_before_and_after_set_sink_arrive_in_order() {
+        let (receiver, sender) = pair();
+        for i in 0..N {
+            sender.send(numbered(i)).unwrap();
+        }
+        let (sink, seen) = recorder();
+        receiver.set_sink(sink);
+        for i in N..2 * N {
+            sender.send(numbered(i)).unwrap();
+        }
+        drop(sender);
+        expect_numbered_then_closed(&seen, 2 * N);
+    }
+
+    /// More frames than the inbound queue holds arrive before the sink:
+    /// the reader is blocked on a full queue when the sink goes in, and
+    /// the frame it holds must follow the queued ones, not be lost.
+    #[test]
+    fn set_sink_releases_a_reader_blocked_on_a_full_queue() {
+        let (receiver, sender) = pair();
+        let before = INBOUND_DEPTH as u32 + N;
+        for i in 0..before {
+            sender.send(numbered(i)).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while receiver.stats().frames_recv < INBOUND_DEPTH as u64 {
+            assert!(Instant::now() < deadline, "inbound queue never filled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (sink, seen) = recorder();
+        receiver.set_sink(sink);
+        for i in before..before + N {
+            sender.send(numbered(i)).unwrap();
+        }
+        drop(sender);
+        expect_numbered_then_closed(&seen, before + N);
+    }
+
+    #[test]
+    fn drop_before_set_sink_gives_the_frames_then_one_close() {
+        let (receiver, sender) = pair();
+        for i in 0..N {
+            sender.send(numbered(i)).unwrap();
+        }
+        drop(sender);
+        wait_reader_exit(&receiver);
+        let (sink, seen) = recorder();
+        receiver.set_sink(sink);
+        expect_numbered_then_closed(&seen, N);
+    }
+
+    #[test]
+    fn drop_after_set_sink_closes_once_after_the_last_frame() {
+        let (receiver, sender) = pair();
+        let (sink, seen) = recorder();
+        receiver.set_sink(sink);
+        for i in 0..N {
+            sender.send(numbered(i)).unwrap();
+        }
+        drop(sender);
+        expect_numbered_then_closed(&seen, N);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn idle_heartbeating_peers_stay_alive() {
 
     // Both directions still work, and no heartbeat marker ever
     // surfaces as a frame.
-    assert_eq!(server.try_recv().unwrap(), None);
+    assert_eq!(server.recv_timeout(Duration::ZERO).unwrap(), None);
     client.send(Bytes::from_static(b"still here")).unwrap();
     assert_eq!(
         server.recv_timeout(Duration::from_secs(2)).unwrap(),
