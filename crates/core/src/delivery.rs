@@ -4,14 +4,15 @@
 //! threads block in [`Delivery::recv_on`] (per-stream receive, the
 //! paper's `stream->recv`) or [`Delivery::recv_any`] (stream-anonymous
 //! receive). Supports multiple concurrent receivers via condvar
-//! wake-ups.
+//! wake-ups; a deposit with no receiver parked notifies nobody.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use mrnet_obs::Unpoisoned;
 use mrnet_packet::{Packet, StreamId};
+use mrnet_transport::chan::CountedCondvar;
 
 use crate::error::{MrnetError, Result};
 
@@ -51,7 +52,7 @@ impl State {
 #[derive(Default)]
 pub struct Delivery {
     state: Mutex<State>,
-    cv: Condvar,
+    cv: CountedCondvar,
 }
 
 /// A point-in-time view of one stream's standing in the mailbox,
@@ -91,7 +92,6 @@ impl Delivery {
             st.enqueue(packet);
             any = true;
         }
-        drop(st);
         if any {
             self.cv.notify_all();
         }
@@ -112,7 +112,8 @@ impl Delivery {
     /// Marks the network as shut down; blocked receivers return
     /// [`MrnetError::Shutdown`] once drained.
     pub fn close(&self) {
-        self.state.lock().unpoisoned().closed = true;
+        let mut st = self.state.lock().unpoisoned();
+        st.closed = true;
         self.cv.notify_all();
     }
 
@@ -126,7 +127,8 @@ impl Delivery {
     /// future receives on the stream return
     /// [`MrnetError::AllEndpointsFailed`].
     pub fn fail_stream(&self, stream: StreamId) {
-        self.state.lock().unpoisoned().failed.insert(stream);
+        let mut st = self.state.lock().unpoisoned();
+        st.failed.insert(stream);
         self.cv.notify_all();
     }
 
@@ -173,18 +175,16 @@ impl Delivery {
     }
 
     /// Waits for a wake-up, or until `deadline` if there is one.
-    /// `None` when the deadline passed first.
+    /// `None` once the deadline has passed.
     fn wait<'a>(
         &self,
         st: MutexGuard<'a, State>,
         deadline: Option<Instant>,
     ) -> Option<MutexGuard<'a, State>> {
-        let Some(d) = deadline else {
-            return Some(self.cv.wait(st).unpoisoned());
-        };
-        let left = d.checked_duration_since(Instant::now())?;
-        let (st, res) = self.cv.wait_timeout(st, left).unpoisoned();
-        (!res.timed_out()).then_some(st)
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return None;
+        }
+        Some(self.cv.wait(st, deadline))
     }
 
     /// Receives the next packet on `stream`, blocking up to `timeout`
@@ -469,5 +469,65 @@ mod tests {
         assert_eq!(d.totals(), (3, 3));
         d.recv_on(2, None).unwrap();
         assert_eq!(d.totals(), (2, 3));
+    }
+
+    /// Runs a receive that waits up to 10 s and fails if it returned
+    /// only because that wait ran out: a lost wake-up shows up as a
+    /// receiver that finds its packet only on its timeout re-check.
+    fn woken_by_send<T>(recv: impl FnOnce(Duration) -> Option<T>) -> Option<T> {
+        const WAIT: Duration = Duration::from_secs(10);
+        let deadline = Instant::now() + WAIT;
+        let got = recv(WAIT);
+        assert!(
+            Instant::now() < deadline,
+            "woken by the timeout, not the push"
+        );
+        got
+    }
+
+    /// Four depositors push bursts and wait for the receiver's ack, so
+    /// the receiver parks between bursts and every burst has to wake
+    /// it.
+    #[test]
+    fn recv_on_loses_no_wakeup() {
+        use mrnet_transport::chan::bounded;
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: i32 = 25_000;
+        let d = Arc::new(Delivery::new());
+        let mut acks = Vec::new();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let d = d.clone();
+                let (ack_tx, ack_rx) = bounded(1);
+                acks.push(ack_tx);
+                std::thread::spawn(move || {
+                    let mut i = 0;
+                    while i < PER_PRODUCER {
+                        let end = (i + i % 7 + 1).min(PER_PRODUCER);
+                        while i < end {
+                            let last = i32::from(i + 1 == end);
+                            d.push(PacketBuilder::new(1, p as i32).push(i).push(last).build());
+                            i += 1;
+                        }
+                        woken_by_send(|t| ack_rx.recv_timeout(t).ok()).expect("ack");
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0i32; PRODUCERS];
+        for _ in 0..PRODUCERS as i32 * PER_PRODUCER {
+            let pkt = woken_by_send(|t| d.recv_on(1, Some(t)).ok()).expect("packet");
+            let p = pkt.tag() as usize;
+            let i = pkt.get(0).unwrap().as_i32().unwrap();
+            assert_eq!(i, next[p], "per-depositor FIFO");
+            next[p] += 1;
+            if pkt.get(1).unwrap().as_i32() == Some(1) {
+                acks[p].send(()).unwrap();
+            }
+        }
+        for h in producers {
+            h.join().unwrap();
+        }
+        assert_eq!(d.totals(), (0, PRODUCERS as u64 * PER_PRODUCER as u64));
     }
 }

@@ -14,7 +14,7 @@
 //! commands (stream creation, downstream sends, shutdown) arrive on
 //! the same inbox as network traffic.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,7 +27,7 @@ use mrnet_obs::{
 use mrnet_packet::bytes::Bytes;
 use mrnet_packet::{BatchPolicy, Batcher, Packet, Rank, StreamId};
 use mrnet_transport::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
-use mrnet_transport::{ClockEstimate, FrameSink, SharedConnection};
+use mrnet_transport::{self as transport, ClockEstimate, FrameSink, SharedConnection};
 
 use crate::delivery::Delivery;
 use crate::error::{MrnetError, Result};
@@ -71,8 +71,10 @@ pub enum Inbound {
 /// Front-end commands injected into the root loop.
 #[derive(Debug)]
 pub enum Command {
-    /// Create a stream and announce it downstream.
-    NewStream(StreamDef),
+    /// Create a stream and announce it downstream. Boxed: every inbox
+    /// message is as large as the largest variant, and the loop's
+    /// drained batch and the channel each keep a buffer of them.
+    NewStream(Box<StreamDef>),
     /// Send a packet downstream on its stream.
     SendDown(Packet),
     /// Tear down a stream.
@@ -317,15 +319,14 @@ impl NodeLoop {
 
     /// Routes an AttachInfo advertisement: deliver at the root, relay
     /// upstream elsewhere.
-    fn relay_attach_info(&self, ranks: Vec<Rank>, endpoints: Vec<String>) -> Result<()> {
+    fn relay_attach_info(&mut self, ranks: Vec<Rank>, endpoints: Vec<String>) -> Result<()> {
         if let Some(tx) = &self.attach_tx {
             for (rank, endpoint) in ranks.into_iter().zip(endpoints) {
                 let _ = tx.send((rank, endpoint));
             }
             Ok(())
-        } else if let Some(parent) = &self.parent {
-            parent
-                .send(Control::AttachInfo { ranks, endpoints }.to_frame())
+        } else if self.parent.is_some() {
+            self.send_parent(Control::AttachInfo { ranks, endpoints }.to_frame())
                 .map_err(MrnetError::Transport)
         } else {
             // Root without a sink: instantiation mode that doesn't use
@@ -396,8 +397,8 @@ impl NodeLoop {
             self.routes.add_child(endpoints);
         }
         let all = self.routes.all_endpoints();
-        if let Some(parent) = &self.parent {
-            parent.send(Control::SubtreeReport { endpoints: all }.to_frame())?;
+        if self.parent.is_some() {
+            self.send_parent(Control::SubtreeReport { endpoints: all }.to_frame())?;
         } else if let Some(tx) = self.ready_tx.take() {
             let _ = tx.send(all);
         }
@@ -441,40 +442,47 @@ impl NodeLoop {
         self.metrics.send_stalls.set(stalls as i64);
     }
 
+    /// The earliest pending timer (a sync-filter timeout or a metrics
+    /// collection deadline), epoch-relative; infinite if none.
+    fn next_deadline(&self) -> f64 {
+        self.managers
+            .values()
+            .filter_map(StreamManager::deadline)
+            .chain(self.collects.values().map(|c| c.deadline))
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// Runs the event loop until shutdown. Consumes the node.
+    ///
+    /// Each turn takes every queued inbox message under one lock,
+    /// dispatches them in order, fires the timers that are due, and
+    /// then flushes every batcher once: packets that arrived together
+    /// leave together, in as few frames as [`BatchPolicy`] allows.
     pub fn run(mut self) {
         self.start_clock_sync();
+        let mut batch = VecDeque::new();
         loop {
-            self.metrics.queue_depth.set(self.inbox.len() as i64);
-            let deadline = self
-                .managers
-                .values()
-                .filter_map(StreamManager::deadline)
-                .chain(self.collects.values().map(|c| c.deadline))
-                .fold(f64::INFINITY, f64::min);
-            let msg = if deadline.is_finite() {
-                let wait = (deadline - self.now()).max(0.0);
-                match self.inbox.recv_timeout(Duration::from_secs_f64(wait)) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
+            let deadline = self.next_deadline();
+            let wake_at = Duration::try_from_secs_f64(deadline.max(0.0))
+                .ok()
+                .and_then(|d| self.epoch.checked_add(d));
+            if let Err(RecvTimeoutError::Disconnected) = self.inbox.recv_all(&mut batch, wake_at) {
+                break;
+            }
+            self.metrics.queue_depth.set(batch.len() as i64);
+            let mut keep_going = true;
+            for msg in batch.drain(..) {
+                keep_going = self.dispatch(msg);
+                if !keep_going {
+                    break;
                 }
-            } else {
-                match self.inbox.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                }
-            };
-            let keep_going = match msg {
-                Some(m) => self.dispatch(m),
-                None => {
-                    self.poll_timeouts();
-                    true
-                }
-            };
-            // Steady traffic can keep the loop off the timeout path
-            // indefinitely; expire overdue collections here too.
-            self.expire_collects(self.now());
+            }
+            // Checked after every batch, not only when the inbox runs
+            // dry: steady traffic on one stream must not hold back a
+            // timed-out wave on another.
+            if self.next_deadline() <= self.now() {
+                self.poll_timeouts();
+            }
             self.flush_all();
             if !keep_going {
                 break;
@@ -487,9 +495,9 @@ impl NodeLoop {
         // Tell the subtree and close the mailbox. Dropping the inbox
         // with the loop makes every later delivery into it fail.
         let frame = Control::Shutdown.to_frame();
-        for (i, c) in self.children.iter().enumerate() {
+        for i in 0..self.children.len() {
             if self.child_alive[i] {
-                let _ = c.send(frame.clone());
+                let _ = self.send_child(i, frame.clone());
             }
         }
         if let Some(d) = &self.delivery {
@@ -615,11 +623,6 @@ impl NodeLoop {
     /// Sends a `RankFailed` report everywhere except whence it came;
     /// at the root it lands in the failure ledger instead of a parent.
     fn forward_failure_report(&mut self, failed_rank: Rank, fresh: &[Rank], origin: FailureOrigin) {
-        // Waves released before the failure go first: the report must
-        // never overtake an aggregate still sitting in the batcher.
-        if !self.parent_batcher.is_empty() {
-            self.flush_parent();
-        }
         let report = Control::RankFailed {
             rank: failed_rank,
             subtree: fresh.to_vec(),
@@ -627,22 +630,22 @@ impl NodeLoop {
         .to_frame();
         match origin {
             FailureOrigin::Child(from) => {
-                if let Some(parent) = &self.parent {
-                    let _ = parent.send(report.clone());
+                if self.parent.is_some() {
+                    let _ = self.send_parent(report.clone());
                 } else if let Some(ledger) = &self.ledger {
                     self.metrics.events_delivered.inc();
                     ledger.report(failed_rank, fresh.to_vec());
                 }
                 for i in 0..self.children.len() {
                     if i != from && self.child_alive[i] {
-                        let _ = self.children[i].send(report.clone());
+                        let _ = self.send_child(i, report.clone());
                     }
                 }
             }
             FailureOrigin::Parent => {
                 for i in 0..self.children.len() {
                     if self.child_alive[i] {
-                        let _ = self.children[i].send(report.clone());
+                        let _ = self.send_child(i, report.clone());
                     }
                 }
             }
@@ -671,7 +674,7 @@ impl NodeLoop {
         // child dead here would jump ahead of its already-queued
         // inbound frames — death is only ever declared in frame order,
         // by EOF or garbage.
-        let _ = self.children[child].send(ping);
+        let _ = self.send_child(child, ping);
     }
 
     /// One ping exchange completed: fold the estimate in (minimum RTT
@@ -747,7 +750,7 @@ impl NodeLoop {
             for (rank, offset_us, rtt_us) in entries {
                 assembler.set_clock(rank, offset_us, rtt_us);
             }
-        } else if let Some(parent) = &self.parent {
+        } else if self.parent.is_some() {
             let mut ranks = Vec::with_capacity(entries.len());
             let mut offsets_us = Vec::with_capacity(entries.len());
             let mut rtts_us = Vec::with_capacity(entries.len());
@@ -756,7 +759,7 @@ impl NodeLoop {
                 offsets_us.push(off);
                 rtts_us.push(rtt);
             }
-            let _ = parent.send(
+            let _ = self.send_parent(
                 Control::ClockInfo {
                     ranks,
                     offsets_us,
@@ -912,8 +915,8 @@ impl NodeLoop {
                 }
                 Err(_) => log_warn!(self.rank, "dropping malformed trace report"),
             }
-        } else if let Some(parent) = &self.parent {
-            let _ = parent.send(encode_data_frame(std::slice::from_ref(packet)));
+        } else {
+            let _ = self.send_parent(encode_data_frame(std::slice::from_ref(packet)));
         }
     }
 
@@ -1024,16 +1027,14 @@ impl NodeLoop {
                     }
                     Control::ClockPing { t0_us } => {
                         let t1_us = tracectx::wall_us();
-                        if let Some(parent) = &self.parent {
-                            let _ = parent.send(
-                                Control::ClockPong {
-                                    t0_us: *t0_us,
-                                    t1_us,
-                                    t2_us: tracectx::wall_us(),
-                                }
-                                .to_frame(),
-                            );
-                        }
+                        let _ = self.send_parent(
+                            Control::ClockPong {
+                                t0_us: *t0_us,
+                                t1_us,
+                                t2_us: tracectx::wall_us(),
+                            }
+                            .to_frame(),
+                        );
                         Ok(true)
                     }
                     Control::Shutdown => Ok(false),
@@ -1075,7 +1076,7 @@ impl NodeLoop {
     fn on_command(&mut self, cmd: Command) -> bool {
         match cmd {
             Command::NewStream(def) => {
-                if let Err(e) = self.create_stream(def) {
+                if let Err(e) = self.create_stream(*def) {
                     log_error!(self.rank, "stream creation error: {e}");
                 }
                 true
@@ -1139,7 +1140,7 @@ impl NodeLoop {
         // A child that died (possibly unnoticed until this send) must
         // not prevent the stream from existing for the survivors.
         for &child in mgr.participants() {
-            if self.child_alive[child] && self.children[child].send(frame.clone()).is_err() {
+            if self.child_alive[child] && self.send_child(child, frame.clone()).is_err() {
                 self.child_alive[child] = false;
             }
         }
@@ -1152,7 +1153,7 @@ impl NodeLoop {
             let frame = Control::DeleteStream { stream_id: sid }.to_frame();
             for &child in mgr.participants() {
                 if self.child_alive[child] {
-                    let _ = self.children[child].send(frame.clone());
+                    let _ = self.send_child(child, frame.clone());
                 }
             }
         }
@@ -1295,14 +1296,53 @@ impl NodeLoop {
         let _ = parent.send(frame);
     }
 
+    /// Whether child `child` has packets or trace envelopes waiting
+    /// for a flush.
+    fn child_pending(&self, child: usize) -> bool {
+        !self.child_batchers[child].is_empty() || !self.child_trace_outbox[child].is_empty()
+    }
+
+    /// Whether the parent has packets or trace envelopes waiting for a
+    /// flush.
+    fn parent_pending(&self) -> bool {
+        !self.parent_batcher.is_empty() || !self.parent_trace_outbox.is_empty()
+    }
+
     fn flush_all(&mut self) {
         for i in 0..self.children.len() {
-            if !self.child_batchers[i].is_empty() || !self.child_trace_outbox[i].is_empty() {
+            if self.child_pending(i) {
                 self.flush_child(i);
             }
         }
-        if !self.parent_batcher.is_empty() || !self.parent_trace_outbox.is_empty() {
+        if self.parent_pending() {
             self.flush_parent();
+        }
+    }
+
+    /// Sends a frame that bypasses the batcher (control, introspection)
+    /// to child `child`. Whatever is batched for that child is flushed
+    /// first: the loop flushes once per inbox batch, and a frame sent
+    /// around the batcher must never overtake packets the loop handled
+    /// before it — a `DeleteStream` ahead of the stream's last data
+    /// would make the child drop that data.
+    fn send_child(&mut self, child: usize, frame: Bytes) -> transport::Result<()> {
+        if self.child_pending(child) {
+            self.flush_child(child);
+        }
+        self.children[child].send(frame)
+    }
+
+    /// [`NodeLoop::send_child`]'s upstream twin: flushes the parent's
+    /// batcher and trace outbox, then sends `frame`, so a report never
+    /// overtakes a wave still waiting in the batcher. No-op at the
+    /// root.
+    fn send_parent(&mut self, frame: Bytes) -> transport::Result<()> {
+        if self.parent_pending() {
+            self.flush_parent();
+        }
+        match &self.parent {
+            Some(parent) => parent.send(frame),
+            None => Ok(()),
         }
     }
 
@@ -1329,7 +1369,7 @@ impl NodeLoop {
             if !self.child_alive[i] {
                 continue;
             }
-            if self.children[i].send(frame.clone()).is_ok() {
+            if self.send_child(i, frame.clone()).is_ok() {
                 outstanding.push(i);
             } else {
                 self.child_alive[i] = false;
@@ -1400,9 +1440,9 @@ impl NodeLoop {
                 let _ = tx.send(introspect::snapshot_from_sections(collect.sections));
             }
             None => {
-                if let Some(parent) = &self.parent {
+                if self.parent.is_some() {
                     let reply = introspect::encode_reply(req_id, &collect.sections);
-                    let _ = parent.send(encode_data_frame(std::slice::from_ref(&reply)));
+                    let _ = self.send_parent(encode_data_frame(std::slice::from_ref(&reply)));
                 }
             }
         }

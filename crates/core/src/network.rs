@@ -233,7 +233,7 @@ impl Network {
             .lock()
             .unpoisoned()
             .insert(id, def.clone());
-        self.send_cmd(Command::NewStream(def.clone()))?;
+        self.send_cmd(Command::NewStream(Box::new(def.clone())))?;
         Ok(Stream {
             def,
             net: self.inner.clone(),

@@ -824,3 +824,93 @@ fn try_recv_on_an_empty_stream_returns_at_once() {
     drop(dep.backends);
     net.shutdown();
 }
+
+/// A `TimeOut` wave that waits on a silent back-end is released on
+/// time even while its sibling floods another stream through the same
+/// interior node: the loop fires due timers after every inbox batch,
+/// not only when its inbox runs dry.
+#[test]
+fn timeout_wave_is_released_under_steady_traffic() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
+    // The silent back-end and the flooder share one interior parent.
+    let leaves = topo.backends();
+    let silent = leaves[0];
+    let flooder = *leaves
+        .iter()
+        .find(|&&b| b != silent && topo.parent(b) == topo.parent(silent))
+        .expect("a sibling back-end");
+    let (silent, flooder) = (silent.0 as mrnet::Rank, flooder.0 as mrnet::Rank);
+    let dep = launch_local(topo).unwrap();
+    let net = dep.network.clone();
+    let sum = net.registry().id_of("d_sum").unwrap();
+    let null = net.registry().id_of("null").unwrap();
+    let pair = net.communicator([silent, flooder]).unwrap();
+    let timed = net.new_stream(&pair, sum, SyncMode::TimeOut(0.2)).unwrap();
+    let solo = net.communicator([flooder]).unwrap();
+    let flood = net.new_stream(&solo, null, SyncMode::DoNotWait).unwrap();
+    timed.send(0, "%d", vec![Value::Int32(0)]).unwrap();
+    flood.send(0, "%d", vec![Value::Int32(0)]).unwrap();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let (timed_id, flood_id) = (timed.id(), flood.id());
+    let handles: Vec<_> = dep
+        .backends
+        .into_iter()
+        .map(|be| {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                if be.rank() == flooder {
+                    be.recv().unwrap();
+                    be.recv().unwrap();
+                    be.send(timed_id, 0, "%d", vec![Value::Int32(5)]).unwrap();
+                    // Bounded, so a starved timer fails the test rather
+                    // than growing the queues without end.
+                    let start = Instant::now();
+                    let mut i = 0;
+                    while !stop.load(Ordering::Relaxed) && start.elapsed() < Duration::from_secs(3)
+                    {
+                        be.send(flood_id, 0, "%d", vec![Value::Int32(i)]).unwrap();
+                        i += 1;
+                    }
+                }
+                // Everyone else stays silent on both streams.
+                loop {
+                    match be.recv_timeout(Duration::from_millis(50)) {
+                        Ok(_) => {}
+                        Err(MrnetError::Shutdown) => return,
+                        Err(e) => panic!("backend pump failed: {e}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    let drain = {
+        let (flood, stop) = (flood.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut got = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                if flood.recv_timeout(Duration::from_millis(50)).is_ok() {
+                    got += 1;
+                }
+            }
+            got
+        })
+    };
+
+    // The interior's wave times out 0.2 s after the flooder's
+    // contribution; allow generous slack for a loaded machine.
+    let partial = timed.recv_timeout(Duration::from_secs(1));
+    stop.store(true, Ordering::Relaxed);
+    let flooded = drain.join().unwrap();
+    net.shutdown();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let partial = partial.expect("timed-out wave not released under flood");
+    assert_eq!(partial.get(0).unwrap().as_i32(), Some(5));
+    assert!(flooded > 0, "the flood reached the front-end");
+}

@@ -273,7 +273,8 @@ pub struct NodeMetrics {
     /// Encoded bytes of upstream packets delivered locally at the
     /// root, which has no parent connection to count them on.
     pub local_up_bytes: Counter,
-    /// Current depth of this node's event inbox (commands + frames).
+    /// Messages (commands + frames) in the inbox batch this node's
+    /// loop drained last.
     pub queue_depth: Gauge,
     /// Packets per flushed batch frame (batching amortizes the §4
     /// per-frame cost).

@@ -1,17 +1,81 @@
 //! Multi-producer multi-consumer channels: a `VecDeque` behind one
 //! `Mutex` and one `Condvar`, optionally bounded.
 //!
+//! The condvar is a [`CountedCondvar`]: it notifies only while a thread
+//! is parked on it. Receivers park only on an empty queue and senders
+//! only on a full one, so the two never wait at the same time and one
+//! condvar serves both. [`Receiver::recv_all`] takes the whole queue
+//! under one lock, for a consumer that handles messages in batches.
+//!
 //! `std::sync::mpsc` does not fit the uses here: its `Receiver` is not
-//! `Sync` (the core's failure ledger is shared and owns one), and no half
-//! of it reports how many messages are queued (the node inbox gauge
-//! reads [`Receiver::len`], the TCP writer queue gauge
+//! `Sync` (the core's failure ledger is shared and owns one), it cannot
+//! take its whole queue at once, and no half of it reports how many
+//! messages are queued (the TCP writer queue gauge reads
 //! [`Sender::len`]).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use mrnet_obs::Unpoisoned;
+
+/// A condvar that counts the threads parked on it, so that a notify
+/// with nobody waiting costs nothing: std's futex condvar makes a
+/// syscall on every notify, parked thread or not.
+///
+/// Both methods must be called with the mutex that guards the waited-on
+/// state held. A thread counts itself before [`CountedCondvar::wait`]
+/// releases that mutex and uncounts itself after reacquiring it, so a
+/// notifier holding the mutex that reads a count of zero knows no
+/// thread is waiting.
+#[derive(Debug, Default)]
+pub struct CountedCondvar {
+    cv: Condvar,
+    /// Parked threads. `Relaxed` suffices: every access happens with
+    /// the guarding mutex held, whose unlock/lock pairs order them.
+    parked: AtomicUsize,
+}
+
+impl CountedCondvar {
+    /// Creates a condvar with nobody parked.
+    pub fn new() -> CountedCondvar {
+        CountedCondvar::default()
+    }
+
+    /// Releases `guard` and parks until notified or until `deadline`
+    /// (forever if `None`), then reacquires it. May wake spuriously:
+    /// callers re-check their condition and their deadline.
+    pub fn wait<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        deadline: Option<Instant>,
+    ) -> MutexGuard<'a, T> {
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        let guard = match deadline {
+            None => self.cv.wait(guard).unpoisoned(),
+            Some(d) => {
+                let left = d.saturating_duration_since(Instant::now());
+                self.cv.wait_timeout(guard, left).unpoisoned().0
+            }
+        };
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        guard
+    }
+
+    /// Wakes every parked thread, if there is one.
+    pub fn notify_all(&self) {
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Threads parked right now.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.parked.load(Ordering::Relaxed)
+    }
+}
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -22,7 +86,7 @@ struct State<T> {
 
 struct Inner<T> {
     state: Mutex<State<T>>,
-    cv: Condvar,
+    cv: CountedCondvar,
 }
 
 impl<T> Inner<T> {
@@ -96,7 +160,7 @@ fn new_channel<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
             senders: 1,
             receivers: 1,
         }),
-        cv: Condvar::new(),
+        cv: CountedCondvar::new(),
     });
     (
         Sender {
@@ -125,9 +189,7 @@ impl<T> Sender<T> {
                 return Err(SendError(msg));
             }
             match st.cap {
-                Some(cap) if st.queue.len() >= cap => {
-                    st = self.inner.cv.wait(st).unpoisoned();
-                }
+                Some(cap) if st.queue.len() >= cap => st = self.inner.cv.wait(st, None),
                 _ => {
                     st.queue.push_back(msg);
                     self.inner.cv.notify_all();
@@ -176,75 +238,80 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        self.inner.lock().senders -= 1;
+        let mut st = self.inner.lock();
+        st.senders -= 1;
         self.inner.cv.notify_all();
     }
 }
 
 impl<T> Receiver<T> {
+    /// Waits until the queue holds a message, or until `deadline`
+    /// (forever if `None`), and returns the lock.
+    fn wait_nonempty(
+        &self,
+        deadline: Option<Instant>,
+    ) -> Result<MutexGuard<'_, State<T>>, RecvTimeoutError> {
+        let mut st = self.inner.lock();
+        loop {
+            if !st.queue.is_empty() {
+                return Ok(st);
+            }
+            if st.senders == 0 {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            st = self.inner.cv.wait(st, deadline);
+        }
+    }
+
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+        let mut st = self.wait_nonempty(deadline)?;
+        let msg = st.queue.pop_front().expect("queue is non-empty");
+        self.inner.cv.notify_all();
+        Ok(msg)
+    }
+
     /// Receives a message, blocking until one arrives or every
     /// sender disconnects.
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut st = self.inner.lock();
-        loop {
-            if let Some(msg) = st.queue.pop_front() {
-                self.inner.cv.notify_all();
-                return Ok(msg);
-            }
-            if st.senders == 0 {
-                return Err(RecvError);
-            }
-            st = self.inner.cv.wait(st).unpoisoned();
-        }
+        self.recv_until(None).map_err(|_| RecvError)
     }
 
     /// Receives without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut st = self.inner.lock();
-        if let Some(msg) = st.queue.pop_front() {
-            self.inner.cv.notify_all();
-            return Ok(msg);
-        }
-        if st.senders == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
+        match self.recv_until(Some(Instant::now())) {
+            Ok(msg) => Ok(msg),
+            Err(RecvTimeoutError::Timeout) => Err(TryRecvError::Empty),
+            Err(RecvTimeoutError::Disconnected) => Err(TryRecvError::Disconnected),
         }
     }
 
     /// Receives, giving up after `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.lock();
-        loop {
-            if let Some(msg) = st.queue.pop_front() {
-                self.inner.cv.notify_all();
-                return Ok(msg);
-            }
-            if st.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            st = self
-                .inner
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unpoisoned()
-                .0;
+        self.recv_until(Instant::now().checked_add(timeout))
+    }
+
+    /// Moves every queued message to the back of `out`, in order, under
+    /// one lock, waiting until `deadline` (forever if `None`) while the
+    /// queue is empty. An empty `out` trades buffers with the channel,
+    /// so a consumer that empties `out` before each call moves no
+    /// message and allocates nothing. `Disconnected` only once every
+    /// sender is gone and the queue is drained.
+    pub fn recv_all(
+        &self,
+        out: &mut VecDeque<T>,
+        deadline: Option<Instant>,
+    ) -> Result<(), RecvTimeoutError> {
+        let mut st = self.wait_nonempty(deadline)?;
+        if out.is_empty() {
+            std::mem::swap(&mut st.queue, out);
+        } else {
+            out.append(&mut st.queue);
         }
-    }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.inner.cv.notify_all();
+        Ok(())
     }
 }
 
@@ -259,7 +326,162 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.inner.lock().receivers -= 1;
+        let mut st = self.inner.lock();
+        st.receivers -= 1;
         self.inner.cv.notify_all();
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::thread;
+
+    #[test]
+    fn recv_all_takes_everything_in_order() {
+        let (tx, rx) = unbounded();
+        for i in 0..5 {
+            tx.send(i).unwrap();
+        }
+        let mut out = VecDeque::new();
+        rx.recv_all(&mut out, None).unwrap();
+        assert_eq!(out, [0, 1, 2, 3, 4]);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        // A non-empty `out` keeps its contents; new messages go behind.
+        tx.send(5).unwrap();
+        tx.send(6).unwrap();
+        rx.recv_all(&mut out, None).unwrap();
+        assert_eq!(out, [0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn recv_all_times_out_empty() {
+        let (_tx, rx) = unbounded::<u32>();
+        let mut out = VecDeque::new();
+        let start = Instant::now();
+        let deadline = start + Duration::from_millis(20);
+        assert_eq!(
+            rx.recv_all(&mut out, Some(deadline)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        assert!(Instant::now() >= deadline);
+        assert!(out.is_empty());
+        // A deadline already past returns at once.
+        assert_eq!(
+            rx.recv_all(&mut out, Some(start)),
+            Err(RecvTimeoutError::Timeout)
+        );
+    }
+
+    #[test]
+    fn recv_all_reports_disconnected_only_once_drained() {
+        let (tx, rx) = unbounded();
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        drop(tx);
+        let mut out = VecDeque::new();
+        rx.recv_all(&mut out, None).unwrap();
+        assert_eq!(out, [1, 2]);
+        out.clear();
+        assert_eq!(
+            rx.recv_all(&mut out, None),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn recv_all_wakes_a_blocked_receiver() {
+        let (tx, rx) = unbounded();
+        let probe = rx.clone();
+        let h = thread::spawn(move || {
+            let mut out = VecDeque::new();
+            rx.recv_all(&mut out, None).map(|()| out)
+        });
+        while probe.inner.cv.parked() == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        tx.send(7).unwrap();
+        assert_eq!(h.join().unwrap().unwrap(), [7]);
+    }
+
+    #[test]
+    fn producer_parked_on_full_channel_wakes_after_recv_all() {
+        let (tx, rx) = bounded(2);
+        tx.send(0).unwrap();
+        tx.send(1).unwrap();
+        let (done_tx, done_rx) = unbounded();
+        thread::spawn(move || done_tx.send(tx.send(2)));
+        // Wait until the producer is parked on the full queue.
+        while rx.inner.cv.parked() == 0 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let mut out = VecDeque::new();
+        rx.recv_all(&mut out, None).unwrap();
+        assert_eq!(out, [0, 1]);
+        let sent = done_rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(sent, Ok(Ok(())), "the parked producer never woke");
+        out.clear();
+        rx.recv_all(&mut out, None).unwrap();
+        assert_eq!(out, [2]);
+    }
+
+    /// Runs a receive that waits up to 10 s and fails if it returned
+    /// only because that wait ran out: a lost wake-up shows up as a
+    /// receiver that finds its message only on its timeout re-check.
+    pub(crate) fn woken_by_send<T>(recv: impl FnOnce(Duration) -> Option<T>) -> Option<T> {
+        const WAIT: Duration = Duration::from_secs(10);
+        let deadline = Instant::now() + WAIT;
+        let got = recv(WAIT);
+        assert!(
+            Instant::now() < deadline,
+            "woken by the timeout, not the send"
+        );
+        got
+    }
+
+    #[test]
+    fn no_wakeup_is_lost_under_waiter_counting() {
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: u64 = 25_000;
+        let (tx, rx) = unbounded();
+        let mut acks = Vec::new();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                let (ack_tx, ack_rx) = bounded(1);
+                acks.push(ack_tx);
+                thread::spawn(move || {
+                    // Bursts of 1–7 messages, each ended by waiting for
+                    // the consumer's ack: the consumer parks between
+                    // bursts, so every burst's first send has to wake
+                    // it, and every ack has to wake this producer.
+                    let mut i = 0;
+                    while i < PER_PRODUCER {
+                        let end = (i + i % 7 + 1).min(PER_PRODUCER);
+                        while i < end {
+                            tx.send((p, i, i + 1 == end)).unwrap();
+                            i += 1;
+                        }
+                        woken_by_send(|t| ack_rx.recv_timeout(t).ok()).expect("ack");
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut next = [0u64; PRODUCERS];
+        for _ in 0..PRODUCERS as u64 * PER_PRODUCER {
+            let (p, i, burst_end) = woken_by_send(|t| rx.recv_timeout(t).ok()).expect("message");
+            assert_eq!(i, next[p], "per-producer FIFO");
+            next[p] += 1;
+            if burst_end {
+                acks[p].send(()).unwrap();
+            }
+        }
+        for h in producers {
+            h.join().unwrap();
+        }
+        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(rx.inner.cv.parked(), 0);
     }
 }

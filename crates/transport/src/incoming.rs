@@ -10,14 +10,19 @@
 //! and it may take its receiver's lock (the node inbox). So the order
 //! is connection lock, then inbox lock, never the reverse. A sink never
 //! blocks, so a producer holding this lock always finishes.
+//!
+//! Its condvar is a [`CountedCondvar`], so a push or a take notifies
+//! only while a receiver (empty queue) or a producer (full queue) is
+//! parked.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mrnet_obs::Unpoisoned;
 use mrnet_packet::bytes::Bytes;
 
+use crate::chan::CountedCondvar;
 use crate::connection::{ConnCounters, FrameSink};
 
 /// The producer ended and every queued frame has been received.
@@ -40,7 +45,7 @@ pub(crate) struct Incoming {
     state: Mutex<State>,
     /// Signalled when a frame is queued or taken, the producer ends, a
     /// sink is installed, or the endpoint is abandoned.
-    cv: Condvar,
+    cv: CountedCondvar,
     /// Queued frames at which a producer waits (`None`: unbounded).
     cap: Option<usize>,
     /// The receiving endpoint's counters; every accepted frame counts
@@ -57,7 +62,7 @@ impl Incoming {
                 ended: false,
                 abandoned: false,
             }),
-            cv: Condvar::new(),
+            cv: CountedCondvar::new(),
             cap,
             counters,
         }
@@ -88,7 +93,7 @@ impl Incoming {
                 break;
             }
             match self.cap {
-                Some(cap) if st.queue.len() >= cap => st = self.cv.wait(st).unpoisoned(),
+                Some(cap) if st.queue.len() >= cap => st = self.cv.wait(st, None),
                 _ => {
                     st.queue.push_back(frame);
                     self.cv.notify_all();
@@ -152,24 +157,73 @@ impl Incoming {
         let mut st = self.lock();
         loop {
             if let Some(frame) = st.queue.pop_front() {
-                if self.cap.is_some() {
-                    self.cv.notify_all(); // room for a waiting producer
-                }
+                self.cv.notify_all(); // room for a waiting producer
                 return Ok(Some(frame));
             }
             if st.ended {
                 return Err(Ended);
             }
-            st = match deadline {
-                None => self.cv.wait(st).unpoisoned(),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Ok(None);
-                    }
-                    self.cv.wait_timeout(st, deadline - now).unpoisoned().0
-                }
-            };
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Ok(None);
+            }
+            st = self.cv.wait(st, deadline);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chan::bounded;
+    use crate::chan::tests::woken_by_send;
+    use std::thread;
+
+    /// Queue mode, bounded so that producers park on a full queue too:
+    /// four producers push bursts and wait for the receiver's ack, so
+    /// every burst must wake the parked receiver and every take must
+    /// wake a parked producer.
+    #[test]
+    fn queue_mode_loses_no_wakeup() {
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: u32 = 25_000;
+        let incoming = Arc::new(Incoming::new(Some(4), Arc::default()));
+        let mut acks = Vec::new();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let incoming = incoming.clone();
+                let (ack_tx, ack_rx) = bounded(1);
+                acks.push(ack_tx);
+                thread::spawn(move || {
+                    let mut i = 0;
+                    while i < PER_PRODUCER {
+                        let end = (i + i % 7 + 1).min(PER_PRODUCER);
+                        while i < end {
+                            let mut frame = vec![p as u8, u8::from(i + 1 == end)];
+                            frame.extend_from_slice(&i.to_le_bytes());
+                            assert!(incoming.push(Bytes::from(frame)));
+                            i += 1;
+                        }
+                        woken_by_send(|t| ack_rx.recv_timeout(t).ok()).expect("ack");
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0u32; PRODUCERS];
+        for _ in 0..PRODUCERS as u32 * PER_PRODUCER {
+            let frame = woken_by_send(|t| incoming.recv(Instant::now().checked_add(t)).unwrap())
+                .expect("frame");
+            let p = frame[0] as usize;
+            let i = u32::from_le_bytes(frame[2..6].try_into().unwrap());
+            assert_eq!(i, next[p], "per-producer FIFO");
+            next[p] += 1;
+            if frame[1] == 1 {
+                acks[p].send(()).unwrap();
+            }
+        }
+        for h in producers {
+            h.join().unwrap();
+        }
+        incoming.end();
+        assert!(incoming.recv(None).is_err());
     }
 }
