@@ -6,11 +6,12 @@
 //! sends scalar values upstream on those streams.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mrnet_obs::tracectx::{self, TraceEnvelope, TraceSampler};
-use mrnet_obs::{log_warn, NodeMetrics, Unpoisoned};
+use mrnet_obs::{log_warn, NodeMetrics, StreamCounters, Unpoisoned};
 use mrnet_packet::bytes::Bytes;
 use mrnet_packet::{Packet, PacketBuilder, Rank, StreamId, Value};
 use mrnet_transport::{LocalFabric, RetryPolicy, SharedConnection};
@@ -21,13 +22,20 @@ use crate::introspect::{self, METRICS_REQUEST, METRICS_STREAM};
 use crate::proto::{decode_frame, encode_data_frame, encode_traced_data_frame, Control, Frame};
 use crate::streams::StreamDef;
 
+/// A stream this back-end has learned about, with its packet counters
+/// cached so a send needs no registry lookup.
+struct KnownStream {
+    def: StreamDef,
+    counters: Arc<StreamCounters>,
+}
+
 /// A tool back-end (daemon) endpoint of the MRNet network.
 pub struct Backend {
     rank: Rank,
     conn: SharedConnection,
-    streams: Mutex<HashMap<StreamId, StreamDef>>,
+    streams: Mutex<HashMap<StreamId, KnownStream>>,
     pending: Mutex<VecDeque<Packet>>,
-    down: Mutex<bool>,
+    down: AtomicBool,
     metrics: Arc<NodeMetrics>,
     /// Topology events relayed down the tree, queued until the tool
     /// polls [`Backend::try_next_event`].
@@ -54,7 +62,7 @@ impl Backend {
             conn,
             streams: Mutex::new(HashMap::new()),
             pending: Mutex::new(VecDeque::new()),
-            down: Mutex::new(false),
+            down: AtomicBool::new(false),
             metrics: Arc::new(NodeMetrics::new()),
             events: Mutex::new(VecDeque::new()),
             failed: Mutex::new(BTreeSet::new()),
@@ -93,7 +101,7 @@ impl Backend {
     }
 
     fn note_shutdown(&self) {
-        *self.down.lock().unpoisoned() = true;
+        self.down.store(true, Ordering::Release);
     }
 
     /// This back-end's metrics instruments. Updated as the tool thread
@@ -165,7 +173,11 @@ impl Backend {
                 match control {
                     Control::NewStream { .. } => {
                         let def = StreamDef::from_control(&control).expect("NewStream parses");
-                        self.streams.lock().unpoisoned().insert(def.id, def);
+                        let counters = self.metrics.stream_counters(def.id);
+                        self.streams
+                            .lock()
+                            .unpoisoned()
+                            .insert(def.id, KnownStream { def, counters });
                     }
                     Control::DeleteStream { stream_id } => {
                         self.streams.lock().unpoisoned().remove(&stream_id);
@@ -222,7 +234,7 @@ impl Backend {
                 let sid = p.stream_id();
                 return Ok((p, sid));
             }
-            if *self.down.lock().unpoisoned() {
+            if self.is_down() {
                 return Err(MrnetError::Shutdown);
             }
             let frame = self.conn.recv().map_err(|_| {
@@ -242,7 +254,7 @@ impl Backend {
                 let sid = p.stream_id();
                 return Ok(Some((p, sid)));
             }
-            if *self.down.lock().unpoisoned() {
+            if self.is_down() {
                 return Err(MrnetError::Shutdown);
             }
             let now = std::time::Instant::now();
@@ -267,18 +279,19 @@ impl Backend {
         self.send_packet(packet)
     }
 
-    /// Sends a pre-built packet upstream.
+    /// Sends a pre-built packet upstream. Besides the connection's
+    /// own, the send takes one lock: the stream table's.
     pub fn send_packet(&self, packet: Packet) -> Result<()> {
-        if *self.down.lock().unpoisoned() {
+        if self.is_down() {
             return Err(MrnetError::Shutdown);
         }
         let sid = packet.stream_id();
-        if !self.streams.lock().unpoisoned().contains_key(&sid) {
-            return Err(MrnetError::UnknownStream(sid));
+        match self.streams.lock().unpoisoned().get(&sid) {
+            Some(stream) => stream.counters.up_pkts.inc(),
+            None => return Err(MrnetError::UnknownStream(sid)),
         }
         let packet = packet.with_src(self.rank);
         self.metrics.up_pkts_sent.inc();
-        self.metrics.stream_counters(sid).up_pkts.inc();
         self.metrics
             .local_up_bytes
             .add(packet.encoded_size_hint() as u64);
@@ -311,7 +324,11 @@ impl Backend {
 
     /// The definition of a stream this back-end has learned about.
     pub fn stream_def(&self, stream: StreamId) -> Option<StreamDef> {
-        self.streams.lock().unpoisoned().get(&stream).cloned()
+        self.streams
+            .lock()
+            .unpoisoned()
+            .get(&stream)
+            .map(|s| s.def.clone())
     }
 
     /// Ids of all streams known to this back-end.
@@ -323,7 +340,7 @@ impl Backend {
 
     /// True once the network has shut down.
     pub fn is_down(&self) -> bool {
-        *self.down.lock().unpoisoned()
+        self.down.load(Ordering::Acquire)
     }
 
     /// The next queued topology event, if any. Events are enqueued as

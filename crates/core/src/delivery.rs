@@ -174,23 +174,32 @@ impl Delivery {
             .map_or(0, VecDeque::len)
     }
 
-    /// Waits for a wake-up, or until `deadline` if there is one.
-    /// `None` once the deadline has passed.
+    /// Waits for a wake-up, or until the receive's deadline. The clock
+    /// is read only here: `deadline` starts as `None` and is fixed from
+    /// `timeout` before the first wait, so a receive that finds its
+    /// packet queued never reads it. `None` once the deadline has
+    /// passed.
     fn wait<'a>(
         &self,
         st: MutexGuard<'a, State>,
-        deadline: Option<Instant>,
+        timeout: Option<Duration>,
+        deadline: &mut Option<Instant>,
     ) -> Option<MutexGuard<'a, State>> {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
+        let Some(timeout) = timeout else {
+            return Some(self.cv.wait(st, None));
+        };
+        let now = Instant::now();
+        let due = *deadline.get_or_insert(now + timeout);
+        if now >= due {
             return None;
         }
-        Some(self.cv.wait(st, deadline))
+        Some(self.cv.wait(st, Some(due)))
     }
 
     /// Receives the next packet on `stream`, blocking up to `timeout`
     /// (forever if `None`).
     pub fn recv_on(&self, stream: StreamId, timeout: Option<Duration>) -> Result<Packet> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut deadline = None;
         let mut st = self.state.lock().unpoisoned();
         loop {
             if let Some((_, p)) = st.per_stream.get_mut(&stream).and_then(VecDeque::pop_front) {
@@ -202,14 +211,16 @@ impl Delivery {
             if st.closed {
                 return Err(MrnetError::Shutdown);
             }
-            st = self.wait(st, deadline).ok_or(MrnetError::Timeout)?;
+            st = self
+                .wait(st, timeout, &mut deadline)
+                .ok_or(MrnetError::Timeout)?;
         }
     }
 
     /// Receives the next packet on any stream (arrival order),
     /// blocking up to `timeout` (forever if `None`).
     pub fn recv_any(&self, timeout: Option<Duration>) -> Result<Packet> {
-        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut deadline = None;
         let mut st = self.state.lock().unpoisoned();
         loop {
             let oldest = st
@@ -225,7 +236,9 @@ impl Delivery {
             if st.closed {
                 return Err(MrnetError::Shutdown);
             }
-            st = self.wait(st, deadline).ok_or(MrnetError::Timeout)?;
+            st = self
+                .wait(st, timeout, &mut deadline)
+                .ok_or(MrnetError::Timeout)?;
         }
     }
 }

@@ -53,17 +53,19 @@ const TRACE_PENDING_CAP: usize = 16;
 /// flushes.
 const TRACE_OUTBOX_CAP: usize = 64;
 
-/// Messages merged into a node's inbox.
+/// Messages merged into a node's inbox. A child is named by a `u32`
+/// index, which keeps a message at 32 bytes: a busy interior queues
+/// thousands of them.
 #[derive(Debug)]
 pub enum Inbound {
     /// A frame from the parent connection.
     Parent(Bytes),
     /// The parent connection closed.
     ParentClosed,
-    /// A frame from child `usize`.
-    Child(usize, Bytes),
-    /// Child `usize`'s connection closed.
-    ChildClosed(usize),
+    /// A frame from child `u32`.
+    Child(u32, Bytes),
+    /// Child `u32`'s connection closed.
+    ChildClosed(u32),
     /// A user command (root only).
     Cmd(Command),
 }
@@ -138,6 +140,11 @@ pub struct NodeLoop {
     epoch: Instant,
     child_batchers: Vec<Batcher>,
     parent_batcher: Batcher,
+    /// Root only: packets delivered during the current inbox batch,
+    /// handed to the mailbox in one `push_many` by `flush_all`, or
+    /// earlier by `flush_deliveries` before anything else the front-end
+    /// can observe.
+    deliveries: Vec<Packet>,
     ready_tx: Option<Sender<Vec<Rank>>>,
     /// Root only: receives `(backend rank, endpoint)` rendezvous
     /// advertisements harvested from AttachInfo messages during
@@ -189,7 +196,7 @@ enum FailureOrigin {
 struct InboxSink {
     inbox: Sender<Inbound>,
     /// `None` for the parent connection, `Some(i)` for child `i`.
-    child: Option<usize>,
+    child: Option<u32>,
 }
 
 impl FrameSink for InboxSink {
@@ -244,6 +251,7 @@ impl NodeLoop {
             }));
         }
         for (i, c) in children.iter().enumerate() {
+            let i = u32::try_from(i).expect("child count fits in u32");
             c.set_sink(Box::new(InboxSink {
                 inbox: tx.clone(),
                 child: Some(i),
@@ -267,6 +275,7 @@ impl NodeLoop {
             epoch: Instant::now(),
             child_batchers: (0..n).map(|_| Batcher::new(batch_policy)).collect(),
             parent_batcher: Batcher::new(batch_policy),
+            deliveries: Vec::new(),
             ready_tx,
             attach_tx: None,
             metrics: Arc::new(NodeMetrics::new()),
@@ -345,7 +354,7 @@ impl NodeLoop {
                 Ok(Inbound::Child(i, frame)) => match decode_frame(frame)? {
                     Frame::Control(pkt) => match Control::from_packet(&pkt)? {
                         Control::SubtreeReport { endpoints } => {
-                            if reported[i].replace(endpoints).is_none() {
+                            if reported[i as usize].replace(endpoints).is_none() {
                                 missing -= 1;
                             }
                         }
@@ -361,12 +370,12 @@ impl NodeLoop {
                             t0_us,
                             t1_us,
                             t2_us,
-                        } => self.on_clock_pong(i, t0_us, t1_us, t2_us),
+                        } => self.on_clock_pong(i as usize, t0_us, t1_us, t2_us),
                         Control::ClockInfo {
                             ranks,
                             offsets_us,
                             rtts_us,
-                        } => self.on_clock_info(i, ranks, offsets_us, rtts_us),
+                        } => self.on_clock_info(i as usize, ranks, offsets_us, rtts_us),
                         other => {
                             return Err(MrnetError::Protocol(format!(
                                 "unexpected control during setup: {other:?}"
@@ -500,6 +509,7 @@ impl NodeLoop {
                 let _ = self.send_child(i, frame.clone());
             }
         }
+        self.flush_deliveries();
         if let Some(d) = &self.delivery {
             d.close();
         }
@@ -509,6 +519,7 @@ impl NodeLoop {
     fn dispatch(&mut self, msg: Inbound) -> bool {
         match msg {
             Inbound::Child(i, frame) => {
+                let i = i as usize;
                 if !self.child_alive[i] {
                     // Late frames from a connection already declared
                     // dead (e.g. buffered before garbage): drop.
@@ -532,7 +543,7 @@ impl NodeLoop {
             },
             Inbound::Cmd(cmd) => self.on_command(cmd),
             Inbound::ChildClosed(i) => {
-                self.handle_child_death(i);
+                self.handle_child_death(i as usize);
                 true
             }
             // Parent vanished: treat as shutdown so the subtree exits.
@@ -609,12 +620,10 @@ impl NodeLoop {
             let ready = self.run_released(sid, waves);
             self.forward_up_wave(ready);
             if all_dead {
-                if let Some(delivery) = &self.delivery {
-                    // Root: no packet can ever arrive on this stream
-                    // again; its receivers must unblock with an error
-                    // once the waves delivered above are drained.
-                    delivery.fail_stream(sid);
-                }
+                // Root: no packet can ever arrive on this stream
+                // again; its receivers must unblock with an error
+                // once the waves delivered above are drained.
+                self.fail_stream(sid);
             }
         }
         self.forward_failure_report(failed_rank, &fresh, origin);
@@ -632,9 +641,14 @@ impl NodeLoop {
             FailureOrigin::Child(from) => {
                 if self.parent.is_some() {
                     let _ = self.send_parent(report.clone());
-                } else if let Some(ledger) = &self.ledger {
-                    self.metrics.events_delivered.inc();
-                    ledger.report(failed_rank, fresh.to_vec());
+                } else {
+                    // Root: the event trails the waves delivered before
+                    // it, as a report sent upstream trails the batcher.
+                    self.flush_deliveries();
+                    if let Some(ledger) = &self.ledger {
+                        self.metrics.events_delivered.inc();
+                        ledger.report(failed_rank, fresh.to_vec());
+                    }
                 }
                 for i in 0..self.children.len() {
                     if i != from && self.child_alive[i] {
@@ -834,30 +848,55 @@ impl NodeLoop {
         Ok(())
     }
 
+    /// Synchronizes and transforms one frame's packets, then forwards
+    /// everything the frame released as one wave. A relay stream (see
+    /// [`StreamManager::is_relay`]) passes each packet straight
+    /// through; the clock is read only if some other stream needs it.
+    /// On a child-attributable error the packets released before it
+    /// still forward.
     fn on_child_packets(&mut self, child: usize, packets: Vec<Packet>) -> Result<()> {
-        let now = self.now();
+        let epoch = self.epoch;
+        let mut now = None;
+        let mut ready = Vec::with_capacity(packets.len());
+        let mut result = Ok(());
         for packet in packets {
             let sid = packet.stream_id();
             if sid == METRICS_STREAM {
-                // Introspection traffic: handled here, never
-                // routed or counted.
+                // Introspection traffic: handled here, never routed or
+                // counted. What the frame released before it forwards
+                // first, so a report sent upstream trails it.
+                self.forward_up_wave(std::mem::take(&mut ready));
                 self.on_introspect_up(child, &packet);
                 continue;
             }
             self.metrics.up_pkts_recv.inc();
-            let waves = match self.managers.get_mut(&sid) {
-                Some(mgr) => mgr.up_sync(child, packet, now)?,
-                // Stream unknown (deleted or never created):
-                // drop, as the original does for stale data.
-                None => continue,
+            // Stream unknown (deleted or never created): drop, as the
+            // original does for stale data.
+            let Some(mgr) = self.managers.get_mut(&sid) else {
+                continue;
             };
-            if waves.is_empty() {
+            if mgr.is_relay() {
+                match mgr.relay_up(child, packet) {
+                    Ok(p) => ready.push(p),
+                    Err(e) => {
+                        result = Err(e);
+                        break;
+                    }
+                }
                 continue;
             }
-            let ready = self.run_released(sid, waves);
-            self.forward_up_wave(ready);
+            let now = *now.get_or_insert_with(|| epoch.elapsed().as_secs_f64());
+            match mgr.up_sync(child, packet, now) {
+                Ok(waves) if waves.is_empty() => {}
+                Ok(waves) => ready.extend(self.run_released(sid, waves)),
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
         }
-        Ok(())
+        self.forward_up_wave(ready);
+        result
     }
 
     /// Runs waves the sync filter released through the stream's
@@ -968,16 +1007,13 @@ impl NodeLoop {
                 self.metrics.pkts_lazy_relayed.inc();
             }
         }
-        if let Some(delivery) = &self.delivery {
+        if self.delivery.is_some() {
             // Root: "sent" upstream means delivered to user threads;
             // account the bytes here since no wire carries them. The
-            // whole wave lands under one mailbox lock and one wake-up.
-            for p in &packets {
-                self.metrics
-                    .local_up_bytes
-                    .add(p.encoded_size_hint() as u64);
-            }
-            delivery.push_many(packets);
+            // packets reach the mailbox when the batch flushes.
+            let bytes: usize = packets.iter().map(Packet::encoded_size_hint).sum();
+            self.metrics.local_up_bytes.add(bytes as u64);
+            self.deliveries.extend(packets);
         } else {
             for p in packets {
                 self.parent_batcher.push(p);
@@ -1123,9 +1159,7 @@ impl NodeLoop {
             def.endpoints.retain(|r| !self.known_dead.contains(r));
         }
         if def.endpoints.is_empty() {
-            if let Some(delivery) = &self.delivery {
-                delivery.fail_stream(def.id);
-            }
+            self.fail_stream(def.id);
             return Ok(());
         }
         let frame = def.to_control().to_frame();
@@ -1317,6 +1351,30 @@ impl NodeLoop {
         if self.parent_pending() {
             self.flush_parent();
         }
+        self.flush_deliveries();
+    }
+
+    /// Root only: hands the packets delivered so far in this batch to
+    /// the mailbox, under one lock and at most one wake-up. Besides
+    /// `flush_all`, this runs before anything else the front-end can
+    /// observe (a stream failure, a ledger event, a metrics snapshot,
+    /// the close), so nothing overtakes a wave delivered before it.
+    fn flush_deliveries(&mut self) {
+        if self.deliveries.is_empty() {
+            return;
+        }
+        if let Some(delivery) = &self.delivery {
+            delivery.push_many(self.deliveries.drain(..));
+        }
+    }
+
+    /// Root only: marks `sid` as having lost every end-point, after
+    /// the waves already delivered on it.
+    fn fail_stream(&mut self, sid: StreamId) {
+        self.flush_deliveries();
+        if let Some(delivery) = &self.delivery {
+            delivery.fail_stream(sid);
+        }
     }
 
     /// Sends a frame that bypasses the batcher (control, introspection)
@@ -1437,6 +1495,9 @@ impl NodeLoop {
     fn finish_collect(&mut self, req_id: u32, collect: MetricsCollect) {
         match collect.reply {
             Some(tx) => {
+                // The snapshot counts what was delivered; let the
+                // mailbox hold it first.
+                self.flush_deliveries();
                 let _ = tx.send(introspect::snapshot_from_sections(collect.sections));
             }
             None => {
@@ -1485,5 +1546,15 @@ impl NodeLoop {
                 self.finish_collect(req_id, collect);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn inbox_message_is_at_most_32_bytes() {
+        assert!(std::mem::size_of::<Inbound>() <= 32);
     }
 }

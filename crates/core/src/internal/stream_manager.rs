@@ -13,9 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-#[cfg(test)]
-use mrnet_filters::SyncMode;
-use mrnet_filters::{BoxedTransform, FilterContext, FilterRegistry, SyncFilter};
+use mrnet_filters::{BoxedTransform, FilterContext, FilterRegistry, SyncFilter, SyncMode};
 use mrnet_obs::{FilterStats, NodeMetrics, StreamCounters};
 use mrnet_packet::{Packet, Rank};
 
@@ -52,6 +50,10 @@ pub struct StreamManager {
     up_stats: Option<Arc<FilterStats>>,
     /// When the oldest still-pending wave started accumulating.
     first_arrival: Option<f64>,
+    /// `DoNotWait` sync and the `null` up filter: every upstream packet
+    /// is its own wave and leaves unchanged, so [`StreamManager::relay_up`]
+    /// forwards it without the sync filter or a transform.
+    relay: bool,
 }
 
 impl StreamManager {
@@ -108,6 +110,7 @@ impl StreamManager {
             None => (registry.instantiate(up_id)?, None, None),
         };
         let down = registry.instantiate(registry.id_of(&def.down_filter)?)?;
+        let relay = def.sync == SyncMode::DoNotWait && def.up_filter == "null";
         let sync = SyncFilter::new(def.sync, participants.len());
         let ctx = FilterContext::new(def.id, local_rank, participants.len());
         Ok(StreamManager {
@@ -123,6 +126,7 @@ impl StreamManager {
             counters,
             up_stats,
             first_arrival: None,
+            relay,
         })
     }
 
@@ -150,17 +154,45 @@ impl StreamManager {
         self.transform_waves(waves)
     }
 
+    /// True when upstream packets take [`StreamManager::relay_up`]
+    /// instead of [`StreamManager::up_sync`] + [`StreamManager::transform_wave`].
+    pub fn is_relay(&self) -> bool {
+        self.relay
+    }
+
+    /// The upstream path of a relay stream (see
+    /// [`StreamManager::is_relay`]): checks that `child` participates,
+    /// counts the packet and its one-packet wave, and hands the packet
+    /// back to forward as is. It reads no clock, so the stream records
+    /// no sync-wait or exec time.
+    pub fn relay_up(&mut self, child: usize, packet: Packet) -> Result<Packet> {
+        self.slot(child)?;
+        if let Some(c) = &self.counters {
+            c.up_pkts.inc();
+        }
+        if let Some(stats) = &self.up_stats {
+            stats.waves.inc();
+        }
+        Ok(packet)
+    }
+
+    /// The sync-filter slot of local child `child`; an error if the
+    /// child does not participate in this stream.
+    fn slot(&self, child: usize) -> Result<usize> {
+        self.slot_of_child.get(&child).copied().ok_or_else(|| {
+            MrnetError::Protocol(format!(
+                "upstream packet for stream {} from non-participant child {child}",
+                self.def.id
+            ))
+        })
+    }
+
     /// The synchronization half of [`StreamManager::up`]: pushes the
     /// packet into the sync filter and returns the waves it released,
     /// untransformed, so the caller can transform (and drop) each wave
     /// on its own with [`StreamManager::transform_wave`].
     pub fn up_sync(&mut self, child: usize, packet: Packet, now: f64) -> Result<Vec<Vec<Packet>>> {
-        let slot = *self.slot_of_child.get(&child).ok_or_else(|| {
-            MrnetError::Protocol(format!(
-                "upstream packet for stream {} from non-participant child {child}",
-                self.def.id
-            ))
-        })?;
+        let slot = self.slot(child)?;
         if let Some(c) = &self.counters {
             c.up_pkts.inc();
         }

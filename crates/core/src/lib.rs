@@ -58,7 +58,7 @@ pub mod slice;
 mod streams;
 
 pub use backend::Backend;
-pub use delivery::DeliveryStreamStats;
+pub use delivery::{Delivery, DeliveryStreamStats};
 pub use error::{MrnetError, Result};
 pub use event::{FailureLedger, TopologyEvent};
 pub use instantiate::{

@@ -11,7 +11,8 @@ use mrnet_filters::SyncMode;
 use mrnet_obs::tracectx::TraceEnvelope;
 use mrnet_packet::bytes::{Buf, BufMut, Bytes, BytesMut};
 use mrnet_packet::{
-    decode_batch_lazy_with, decode_packet_from, encode_batch, encode_packet,
+    decode_batch_lazy_with, decode_packet_from, encode_batch_into, encode_packet_into,
+    encoded_batch_len,
     trace::{decode_trailer_from, encode_trailer_into},
     DecodeLimits, Packet, PacketBuilder, Rank, StreamId, Value,
 };
@@ -103,12 +104,12 @@ pub enum Frame {
     Traced(Vec<Packet>, Vec<TraceEnvelope>),
 }
 
-/// Encodes a batch of data packets as a frame.
+/// Encodes a batch of data packets as a frame: the kind byte and the
+/// batch, written into one buffer that is frozen once.
 pub fn encode_data_frame(packets: &[Packet]) -> Bytes {
-    let batch = encode_batch(packets);
-    let mut buf = BytesMut::with_capacity(1 + batch.len());
+    let mut buf = BytesMut::with_capacity(1 + encoded_batch_len(packets));
     buf.put_u8(FRAME_DATA);
-    buf.put_slice(&batch);
+    encode_batch_into(packets, &mut buf);
     buf.freeze()
 }
 
@@ -119,21 +120,20 @@ pub fn encode_traced_data_frame(packets: &[Packet], envelopes: &[TraceEnvelope])
     if envelopes.is_empty() {
         return encode_data_frame(packets);
     }
-    let batch = encode_batch(packets);
-    let mut buf = BytesMut::with_capacity(1 + 4 + batch.len() + 64 * envelopes.len());
+    let batch_len = encoded_batch_len(packets);
+    let mut buf = BytesMut::with_capacity(1 + 4 + batch_len + 64 * envelopes.len());
     buf.put_u8(FRAME_DATA_TRACED);
-    buf.put_u32_le(batch.len() as u32);
-    buf.put_slice(&batch);
+    buf.put_u32_le(batch_len as u32);
+    encode_batch_into(packets, &mut buf);
     encode_trailer_into(envelopes, &mut buf);
     buf.freeze()
 }
 
 /// Encodes a control packet as a frame.
 pub fn encode_control_frame(packet: &Packet) -> Bytes {
-    let body = encode_packet(packet);
-    let mut buf = BytesMut::with_capacity(1 + body.len());
+    let mut buf = BytesMut::with_capacity(1 + packet.encoded_size_hint());
     buf.put_u8(FRAME_CONTROL);
-    buf.put_slice(&body);
+    encode_packet_into(packet, &mut buf);
     buf.freeze()
 }
 

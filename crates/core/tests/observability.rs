@@ -262,3 +262,79 @@ fn stream_stats_track_queue_and_close() {
     assert_eq!(stats.queued, 1);
     assert_eq!(stats.received, 2);
 }
+
+/// `up.bytes.local` is the wire size of the packets a back-end sent,
+/// and at the root the wire size of the packets it delivered. On a
+/// relay stream (null filter, `DoNotWait`) nothing merges or drops a
+/// packet, so the back-ends' sum equals the root's, byte for byte. The
+/// relay path counts each packet as a `filter.null` wave and records
+/// no sync-wait or exec time for it.
+#[test]
+fn backend_and_root_byte_counts_agree_on_a_relay_stream() {
+    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
+    let dep = launch_local(topo).unwrap();
+    let net = dep.network.clone();
+    let backend_ranks: Vec<u32> = net.endpoints().to_vec();
+    let comm = net.broadcast_communicator();
+    let null = net.registry().id_of("null").unwrap();
+    let stream = net.new_stream(&comm, null, SyncMode::DoNotWait).unwrap();
+    stream.send(1, "%d", vec![Value::Int32(0)]).unwrap();
+
+    const PER_BACKEND: u64 = 6;
+    let handles: Vec<_> = dep
+        .backends
+        .into_iter()
+        .map(|be| {
+            std::thread::spawn(move || {
+                let (_, sid) = be.recv().unwrap();
+                for i in 0..PER_BACKEND as i32 {
+                    // Payloads of every shape: the hint must match the
+                    // wire for each.
+                    be.send(sid, 1, "%d", vec![Value::Int32(i)]).unwrap();
+                    be.send(
+                        sid,
+                        2,
+                        "%s %alf",
+                        vec![
+                            Value::Str("x".repeat(i as usize)),
+                            Value::DoubleArray(vec![0.5; i as usize]),
+                        ],
+                    )
+                    .unwrap();
+                }
+                loop {
+                    match be.recv_timeout(Duration::from_millis(100)) {
+                        Ok(_) => {}
+                        Err(MrnetError::Shutdown) => return,
+                        Err(e) => panic!("backend pump failed: {e}"),
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let expected = 2 * PER_BACKEND * backend_ranks.len() as u64;
+    for _ in 0..expected {
+        stream.recv_timeout(TIMEOUT).unwrap();
+    }
+    let snap = net.metrics_snapshot(Duration::from_secs(5)).unwrap();
+    let leaf_bytes: u64 = sections_for(&snap, &backend_ranks)
+        .map(|s| s.get("up.bytes.local").unwrap_or(0))
+        .sum();
+    let root = snap
+        .nodes
+        .iter()
+        .filter(|s| !backend_ranks.contains(&s.rank))
+        .find(|s| s.get("down.pkts.recv") == Some(0))
+        .expect("exactly one node has no parent");
+    assert!(leaf_bytes > 0);
+    assert_eq!(root.get("up.bytes.local"), Some(leaf_bytes));
+    assert_eq!(root.get("filter.null.waves"), Some(expected));
+    assert_eq!(root.get("filter.null.wait_us.count"), Some(0));
+    assert_eq!(root.get("filter.null.exec_us.count"), Some(0));
+
+    net.shutdown();
+    for h in handles {
+        h.join().unwrap();
+    }
+}

@@ -1,11 +1,18 @@
 //! End-to-end tests of the upstream fast path: lazy payload relay
 //! through internal nodes (zero decodes, byte-identical wire data).
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use mrnet::{launch_local, MetricsSection, MrnetError, NetworkSnapshot, Packet, SyncMode, Value};
-use mrnet_packet::encode_packet;
+use mrnet::internal::process::NodeLoop;
+use mrnet::proto::{decode_frame, encode_data_frame, Control, Frame};
+use mrnet::{
+    launch_local, FilterRegistry, MetricsSection, MrnetError, NetworkSnapshot, Packet,
+    PacketBuilder, StreamDef, SyncMode, Value,
+};
+use mrnet_packet::{encode_packet, BatchPolicy};
 use mrnet_topology::{generator, HostPool};
+use mrnet_transport::{Connection, LocalConnection, SharedConnection};
 
 fn pool() -> HostPool {
     HostPool::synthetic(64)
@@ -136,5 +143,61 @@ fn passthrough_relay_never_decodes_and_preserves_bytes() {
     net.shutdown();
     for h in handles {
         h.join().unwrap();
+    }
+}
+
+/// A data frame relayed through a null-filter interior node leaves it
+/// byte-identical to the back-end's encoding: the interior copies each
+/// packet's wire bytes into the outbound frame and rewrites nothing.
+#[test]
+fn relayed_frame_reaches_the_root_byte_identical() {
+    let (up_near, up_far) = LocalConnection::pair("mid", "fe");
+    let (down_near, down_far) = LocalConnection::pair("mid", "be");
+    down_far
+        .send(Control::SubtreeReport { endpoints: vec![5] }.to_frame())
+        .unwrap();
+    let mut node = NodeLoop::new(
+        1,
+        FilterRegistry::with_builtins(),
+        Some(Arc::new(up_near) as SharedConnection),
+        vec![Arc::new(down_near) as SharedConnection],
+        None,
+        BatchPolicy::default(),
+        None,
+        NodeLoop::inbox(),
+    );
+    node.set_child_ranks(vec![5]);
+    node.setup().unwrap();
+
+    let def = StreamDef {
+        id: 4,
+        endpoints: vec![5],
+        up_filter: "null".into(),
+        down_filter: "null".into(),
+        sync: SyncMode::DoNotWait,
+    };
+    up_far.send(def.to_control().to_frame()).unwrap();
+    // A frame of every payload shape, built as a back-end builds it.
+    let packets = [
+        PacketBuilder::new(4, 1).src(5).push(7i32).build(),
+        PacketBuilder::new(4, 2)
+            .src(5)
+            .push("relay")
+            .push(vec![1.5f64; 3])
+            .build(),
+        PacketBuilder::new(4, 3).src(5).build(),
+    ];
+    let sent = encode_data_frame(&packets);
+    down_far.send(sent.clone()).unwrap();
+    up_far.send(Control::Shutdown.to_frame()).unwrap();
+    node.run();
+
+    loop {
+        let frame = up_far.recv_timeout(TIMEOUT).unwrap().expect("a frame");
+        if let Frame::Data(relayed) = decode_frame(frame.clone()).unwrap() {
+            assert!(relayed.iter().all(Packet::is_lazy));
+            assert_eq!(frame, sent, "relayed frame differs from the back-end's");
+            return;
+        }
     }
 }

@@ -113,49 +113,27 @@ impl Batcher {
 }
 
 /// Encodes a sequence of packets as one packet buffer:
-/// `u32 count` followed by the packets back to back.
-///
-/// When every packet is an untouched slice of one inbound batch and
-/// together they tile it exactly, that original buffer is returned
-/// as-is — a relayed batch costs zero encodes and zero copies.
+/// `u32 count` followed by the packets back to back. A packet that
+/// still carries its wire form is copied in verbatim.
 pub fn encode_batch(packets: &[Packet]) -> Bytes {
-    if let Some(reused) = try_reuse_batch(packets) {
-        return reused;
-    }
-    let size: usize = 4 + packets.iter().map(Packet::encoded_size_hint).sum::<usize>();
-    let mut buf = BytesMut::with_capacity(size);
-    buf.put_u32_le(packets.len() as u32);
-    for p in packets {
-        encode_packet_into(p, &mut buf);
-    }
+    let mut buf = BytesMut::with_capacity(encoded_batch_len(packets));
+    encode_batch_into(packets, &mut buf);
     buf.freeze()
 }
 
-/// The original inbound batch buffer, if `packets` are exactly its
-/// packets, in order, with untouched headers. Contiguity is checked
-/// by address, so a reordered, filtered, or re-headered batch never
-/// falsely matches.
-fn try_reuse_batch(packets: &[Packet]) -> Option<Bytes> {
-    let origin = packets.first()?.raw_origin()?.clone();
-    if origin.len() < 4
-        || u32::from_le_bytes(origin[..4].try_into().ok()?) as usize != packets.len()
-    {
-        return None;
-    }
-    let base = origin.as_ref().as_ptr() as usize;
-    let mut expect = base + 4;
+/// The exact length of [`encode_batch`]'s output for `packets`.
+pub fn encoded_batch_len(packets: &[Packet]) -> usize {
+    4 + packets.iter().map(Packet::encoded_size_hint).sum::<usize>()
+}
+
+/// Appends the packet buffer [`encode_batch`] would return to `buf`,
+/// so a frame encoder can write its own header and the batch into one
+/// allocation.
+pub fn encode_batch_into(packets: &[Packet], buf: &mut BytesMut) {
+    buf.put_u32_le(packets.len() as u32);
     for p in packets {
-        let o = p.raw_origin()?;
-        if o.as_ref().as_ptr() as usize != base || o.len() != origin.len() {
-            return None;
-        }
-        let wire = p.raw_wire()?;
-        if wire.as_ref().as_ptr() as usize != expect {
-            return None;
-        }
-        expect += wire.len();
+        encode_packet_into(p, buf);
     }
-    (expect == base + origin.len()).then_some(origin)
 }
 
 /// Decodes a packet buffer produced by [`encode_batch`] into lazy
@@ -185,7 +163,6 @@ pub fn decode_batch_lazy_with(bytes: Bytes, limits: &DecodeLimits) -> Result<Vec
             tag,
             src,
             bytes.slice(pos..end),
-            Some(bytes.clone()),
         ));
         pos = end;
     }
@@ -330,18 +307,6 @@ mod tests {
         assert!(decoded.iter().all(Packet::is_lazy));
         assert_eq!(decoded, packets); // equality materializes
         assert!(decoded.iter().all(|p| !p.is_lazy()));
-    }
-
-    #[test]
-    fn untouched_relayed_batch_reuses_the_inbound_buffer() {
-        let packets: Vec<_> = (0..4).map(pkt).collect();
-        let inbound = encode_batch(&packets);
-        let relayed = decode_batch_lazy(inbound.clone()).unwrap();
-        let outbound = encode_batch(&relayed);
-        assert_eq!(outbound, inbound);
-        // Pointer-identical, not just equal: the same backing buffer.
-        assert_eq!(outbound.as_ref().as_ptr(), inbound.as_ref().as_ptr());
-        assert!(relayed.iter().all(Packet::is_lazy), "relay must not decode");
     }
 
     #[test]

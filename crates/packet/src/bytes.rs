@@ -1,18 +1,32 @@
 //! Byte buffers for the wire path: [`Bytes`], an immutable, cheaply
-//! cloned view into shared storage (an `Arc<[u8]>` plus a range, so
-//! slicing a received frame into packets copies nothing); [`BytesMut`],
+//! cloned view into shared storage (an `Arc<[u8]>` plus a `u32` range,
+//! so slicing a received frame into packets copies nothing, and a view
+//! is 24 bytes); [`BytesMut`],
 //! the growable buffer an encoder writes; and the [`Buf`]/[`BufMut`]
 //! cursor traits with little-endian accessors.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// A cheaply cloneable, immutable byte buffer.
+/// The largest buffer a [`Bytes`] can hold: its range is stored as
+/// `u32` offsets. Wire frames are capped far below this (256 MiB).
+pub const MAX_BYTES_LEN: usize = u32::MAX as usize;
+
+/// A cheaply cloneable, immutable byte buffer of at most
+/// [`MAX_BYTES_LEN`] bytes.
 #[derive(Clone)]
 pub struct Bytes {
     data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
+}
+
+/// Converts a buffer length to the `u32` a [`Bytes`] range stores,
+/// refusing a buffer over [`MAX_BYTES_LEN`].
+fn checked_len(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| {
+        panic!("a Bytes buffer holds at most u32::MAX ({MAX_BYTES_LEN}) bytes, got {len}")
+    })
 }
 
 impl Bytes {
@@ -33,7 +47,7 @@ impl Bytes {
 
     /// Number of bytes in the buffer.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// Whether the buffer is empty.
@@ -54,10 +68,11 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
+        // In bounds of a range that fits in u32, so these cannot wrap.
         Bytes {
             data: self.data.clone(),
-            start: self.start + lo,
-            end: self.start + hi,
+            start: self.start + lo as u32,
+            end: self.start + hi as u32,
         }
     }
 }
@@ -69,10 +84,16 @@ impl Default for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Moves the bytes into shared storage: one allocation and one
+    /// copy, whatever the vector's spare capacity.
+    ///
+    /// # Panics
+    ///
+    /// If `v` is longer than [`MAX_BYTES_LEN`].
     fn from(v: Vec<u8>) -> Bytes {
-        let end = v.len();
+        let end = checked_len(v.len());
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::from(v),
             start: 0,
             end,
         }
@@ -82,7 +103,7 @@ impl From<Vec<u8>> for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        &self.data[self.start as usize..self.end as usize]
     }
 }
 
@@ -257,7 +278,7 @@ impl Buf for Bytes {
 
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance past end");
-        self.start += cnt;
+        self.start += cnt as u32;
     }
 }
 
@@ -303,5 +324,35 @@ pub trait BufMut {
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.inner.extend_from_slice(src);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bytes_is_three_words() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 24);
+    }
+
+    #[test]
+    fn slices_share_storage_and_advance() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let mut s = b.slice(1..4);
+        assert_eq!(&s[..], &[2, 3, 4]);
+        assert_eq!(s.as_ptr(), b[1..].as_ptr());
+        s.advance(2);
+        assert_eq!(&s[..], &[4]);
+        assert_eq!(b.slice(..=1).len(), 2);
+        assert!(b.slice(5..).is_empty());
+    }
+
+    #[test]
+    fn length_cap_is_u32_max() {
+        assert_eq!(checked_len(MAX_BYTES_LEN), u32::MAX);
+        let refused = std::panic::catch_unwind(|| checked_len(MAX_BYTES_LEN + 1));
+        let msg = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("u32::MAX"), "{msg}");
     }
 }

@@ -462,9 +462,12 @@ pub fn decode_packet_from(buf: &mut impl Buf, limits: &DecodeLimits) -> Result<P
     }
     let codes: Vec<_> = values.iter().map(Value::type_code).collect();
     let fmt = FormatString::from_codes(codes);
-    Ok(Packet::new(stream_id, tag, fmt, values)
-        .expect("format derived from decoded values always matches")
-        .with_src(src))
+    Ok(Packet::from_decoded(
+        stream_id,
+        tag,
+        src,
+        Decoded { fmt, values },
+    ))
 }
 
 /// Decodes one packet from an owned byte buffer.

@@ -58,13 +58,11 @@ enum PayloadRepr {
     Eager(Decoded),
     /// Decoded from the wire: the raw bytes are authoritative and the
     /// typed form is materialized on demand. `wire` is the packet's
-    /// full, structurally validated wire form (header included);
-    /// `origin` is the batch body it was sliced from, kept so an
-    /// untouched relayed batch can hand the identical buffer back.
+    /// full, structurally validated wire form (header included). The
+    /// cache is boxed so a packet that is only relayed stays small.
     Raw {
         wire: Bytes,
-        origin: Option<Bytes>,
-        cache: OnceLock<Decoded>,
+        cache: OnceLock<Box<Decoded>>,
     },
 }
 
@@ -83,8 +81,8 @@ impl PacketInner {
     fn decoded(&self) -> &Decoded {
         match &self.payload {
             PayloadRepr::Eager(d) => d,
-            PayloadRepr::Raw { wire, cache, .. } => {
-                cache.get_or_init(|| codec::decode_payload_validated(wire))
+            PayloadRepr::Raw { wire, cache } => {
+                cache.get_or_init(|| Box::new(codec::decode_payload_validated(wire)))
             }
         }
     }
@@ -105,14 +103,30 @@ impl Packet {
         values: Vec<Value>,
     ) -> Result<Packet> {
         fmt.check(&values)?;
-        Ok(Packet {
+        Ok(Packet::from_decoded(
+            stream_id,
+            tag,
+            0,
+            Decoded { fmt, values },
+        ))
+    }
+
+    /// Builds a packet around a typed payload whose format is known to
+    /// match its values.
+    pub(crate) fn from_decoded(
+        stream_id: StreamId,
+        tag: Tag,
+        src: Rank,
+        decoded: Decoded,
+    ) -> Packet {
+        Packet {
             inner: Arc::new(PacketInner {
                 stream_id,
                 tag,
-                src: 0,
-                payload: PayloadRepr::Eager(Decoded { fmt, values }),
+                src,
+                payload: PayloadRepr::Eager(decoded),
             }),
-        })
+        }
     }
 
     /// Creates a packet from a textual format string, validating the
@@ -142,7 +156,6 @@ impl Packet {
         tag: Tag,
         src: Rank,
         wire: Bytes,
-        origin: Option<Bytes>,
     ) -> Packet {
         Packet {
             inner: Arc::new(PacketInner {
@@ -151,7 +164,6 @@ impl Packet {
                 src,
                 payload: PayloadRepr::Raw {
                     wire,
-                    origin,
                     cache: OnceLock::new(),
                 },
             }),
@@ -193,9 +205,9 @@ impl Packet {
                 src: inner.src,
                 payload: PayloadRepr::Eager(match inner.payload {
                     PayloadRepr::Eager(d) => d,
-                    PayloadRepr::Raw { wire, cache, .. } => cache
+                    PayloadRepr::Raw { wire, cache } => cache
                         .into_inner()
-                        .unwrap_or_else(|| codec::decode_payload_validated(&wire)),
+                        .map_or_else(|| codec::decode_payload_validated(&wire), |d| *d),
                 }),
             },
             Err(shared) => {
@@ -279,25 +291,18 @@ impl Packet {
         }
     }
 
-    /// The batch body this packet was sliced from, when it arrived as
-    /// part of a wire batch. Used to hand an untouched relayed batch
-    /// back as the identical buffer.
-    pub(crate) fn raw_origin(&self) -> Option<&Bytes> {
-        match &self.inner.payload {
-            PayloadRepr::Raw { origin, .. } => origin.as_ref(),
-            PayloadRepr::Eager(_) => None,
-        }
-    }
-
-    /// Approximate encoded size in bytes, used for batching decisions.
-    /// Exact for raw packets.
+    /// The exact length of this packet's wire form, computed without
+    /// encoding or allocating: the fixed header plus, per value, its
+    /// type tag byte and body.
     pub fn encoded_size_hint(&self) -> usize {
         match &self.inner.payload {
             PayloadRepr::Raw { wire, .. } => wire.len(),
             PayloadRepr::Eager(d) => {
-                // header: stream id + tag + src + fmt string + count
-                let header = 4 + 4 + 4 + 4 + d.fmt.canonical().len() + 4;
-                header + d.values.iter().map(Value::encoded_size_hint).sum::<usize>()
+                PACKET_HEADER_LEN
+                    + d.values
+                        .iter()
+                        .map(|v| 1 + v.encoded_size_hint())
+                        .sum::<usize>()
             }
         }
     }
@@ -398,9 +403,15 @@ impl PacketBuilder {
     pub fn build(self) -> Packet {
         let codes: Vec<_> = self.values.iter().map(Value::type_code).collect();
         let fmt = FormatString::from_codes(codes);
-        Packet::new(self.stream_id, self.tag, fmt, self.values)
-            .expect("derived format always matches values")
-            .with_src(self.src)
+        Packet::from_decoded(
+            self.stream_id,
+            self.tag,
+            self.src,
+            Decoded {
+                fmt,
+                values: self.values,
+            },
+        )
     }
 }
 
@@ -496,6 +507,20 @@ mod tests {
             .build();
         assert_eq!(p.fmt().to_string(), "%d %alf %s");
         assert_eq!(p.src(), 7);
+    }
+
+    #[test]
+    fn size_hint_is_the_wire_length() {
+        let p = PacketBuilder::new(1, 2).src(3).push(5i32).build();
+        assert_eq!(p.encoded_size_hint(), 19);
+        assert_eq!(p.encoded_size_hint(), encode_packet(&p).len());
+        assert_eq!(sample().encoded_size_hint(), encode_packet(&sample()).len());
+        assert_eq!(Packet::control(0, 0).encoded_size_hint(), PACKET_HEADER_LEN);
+    }
+
+    #[test]
+    fn lazy_packet_fits_in_one_cache_line() {
+        assert!(std::mem::size_of::<PacketInner>() <= 64);
     }
 
     #[test]
