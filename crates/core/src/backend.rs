@@ -8,7 +8,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mrnet_obs::tracectx::{self, TraceEnvelope, TraceSampler};
 use mrnet_obs::{log_warn, NodeMetrics, StreamCounters, Unpoisoned};
@@ -248,7 +248,8 @@ impl Backend {
     /// Like [`Backend::recv`] but gives up after `timeout`, returning
     /// `Ok(None)`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<(Packet, StreamId)>> {
-        let deadline = std::time::Instant::now() + timeout;
+        // A deadline past what `Instant` can hold is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if let Some(p) = self.pending.lock().unpoisoned().pop_front() {
                 let sid = p.stream_id();
@@ -257,11 +258,13 @@ impl Backend {
             if self.is_down() {
                 return Err(MrnetError::Shutdown);
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
                 return Ok(None);
             }
-            match self.conn.recv_timeout(deadline - now) {
+            match self.conn.recv_timeout(left) {
                 Ok(Some(frame)) => self.handle_frame(frame)?,
                 Ok(None) => return Ok(None),
                 Err(_) => {
@@ -280,32 +283,41 @@ impl Backend {
     }
 
     /// Sends a pre-built packet upstream. Besides the connection's
-    /// own, the send takes one lock: the stream table's.
+    /// own, the send takes one lock: the stream table's. In process, an
+    /// untraced packet joins the frame the parent has not taken from
+    /// its inbox yet, if there is one (see `InboxSink`). Counted once
+    /// the connection has accepted it.
     pub fn send_packet(&self, packet: Packet) -> Result<()> {
         if self.is_down() {
             return Err(MrnetError::Shutdown);
         }
         let sid = packet.stream_id();
-        match self.streams.lock().unpoisoned().get(&sid) {
-            Some(stream) => stream.counters.up_pkts.inc(),
+        let counters = match self.streams.lock().unpoisoned().get(&sid) {
+            Some(stream) => stream.counters.clone(),
             None => return Err(MrnetError::UnknownStream(sid)),
-        }
+        };
         let packet = packet.with_src(self.rank);
+        // One in `MRNET_TRACE_SAMPLE` sends originates a traced
+        // up-wave, a whole frame of its own; the rest pay zero trailer
+        // bytes on the wire.
+        if self.sampler.sample() {
+            let env = TraceEnvelope::originate(self.rank, sid);
+            self.conn.send(encode_traced_data_frame(
+                std::slice::from_ref(&packet),
+                &[env],
+            ))?;
+            self.metrics.trace_frames.inc();
+            self.metrics.trace_hops.inc();
+        } else {
+            self.conn
+                .send_packet(&packet, |p| encode_data_frame(std::slice::from_ref(p)))?;
+        }
+        counters.up_pkts.inc();
         self.metrics.up_pkts_sent.inc();
         self.metrics
             .local_up_bytes
             .add(packet.encoded_size_hint() as u64);
-        // One in `MRNET_TRACE_SAMPLE` sends originates a traced
-        // up-wave; the rest pay zero trailer bytes on the wire.
-        let frame = if self.sampler.sample() {
-            let env = TraceEnvelope::originate(self.rank, sid);
-            self.metrics.trace_frames.inc();
-            self.metrics.trace_hops.inc();
-            encode_traced_data_frame(std::slice::from_ref(&packet), &[env])
-        } else {
-            encode_data_frame(std::slice::from_ref(&packet))
-        };
-        self.conn.send(frame).map_err(MrnetError::Transport)
+        Ok(())
     }
 
     /// Convenience: build and send a packet from Rust values.
@@ -354,5 +366,76 @@ impl Backend {
     /// Every rank this back-end has heard reported failed, sorted.
     pub fn failed_ranks(&self) -> Vec<Rank> {
         self.failed.lock().unpoisoned().iter().copied().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mrnet_filters::SyncMode;
+    use mrnet_transport::{Connection, LocalConnection};
+
+    const SID: StreamId = 5;
+
+    /// A back-end over an in-process connection, whose parent end the
+    /// test holds, after a `NewStream` for [`SID`] and one packet on it
+    /// have reached it.
+    fn backend_with_stream() -> (Backend, LocalConnection) {
+        let (parent, child) = LocalConnection::pair("leaf", "be");
+        let be = Backend::new(7, Arc::new(child)).unwrap();
+        let new_stream = Control::NewStream {
+            stream_id: SID,
+            endpoints: vec![7],
+            up_filter: "null".into(),
+            down_filter: "null".into(),
+            sync: SyncMode::DoNotWait,
+        };
+        parent.send(new_stream.to_frame()).unwrap();
+        parent.send(data(0)).unwrap();
+        let (_, sid) = be.recv().unwrap();
+        assert_eq!(sid, SID);
+        (be, parent)
+    }
+
+    fn data(v: i32) -> Bytes {
+        encode_data_frame(&[PacketBuilder::new(SID, 1).push(v).build()])
+    }
+
+    #[test]
+    fn recv_timeout_without_a_representable_deadline_waits_for_the_packet() {
+        let (be, parent) = backend_with_stream();
+        let sender = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            parent.send(data(42)).unwrap();
+            parent
+        });
+        let (pkt, sid) = be.recv_timeout(Duration::MAX).unwrap().expect("a packet");
+        assert_eq!((pkt.get(0).and_then(Value::as_i32), sid), (Some(42), SID));
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn a_failed_send_is_not_counted() {
+        let (be, parent) = backend_with_stream();
+        let metrics = be.metrics();
+        let stream = metrics.stream_counters(SID);
+        let counted = || {
+            (
+                stream.up_pkts.get(),
+                metrics.up_pkts_sent.get(),
+                metrics.local_up_bytes.get(),
+            )
+        };
+        let packet = PacketBuilder::new(SID, 1).src(7).push(1i32).build();
+        let size = packet.encoded_size_hint() as u64;
+        be.send_packet(packet.clone()).unwrap();
+        assert_eq!(counted(), (1, 1, size));
+
+        drop(parent);
+        assert!(matches!(
+            be.send_packet(packet),
+            Err(MrnetError::Transport(_))
+        ));
+        assert_eq!(counted(), (1, 1, size), "the failed send was counted");
     }
 }

@@ -109,17 +109,20 @@ impl PendingNetwork {
     pub fn collect_attach_points(&self, timeout: Duration) -> Result<Vec<AttachPoint>> {
         let mut points: Vec<AttachPoint> = self.attach_points.clone();
         if let Some(rx) = &self.attach_rx {
-            let deadline = std::time::Instant::now() + timeout;
+            // A deadline past what `Instant` can hold is no deadline.
+            let deadline = std::time::Instant::now().checked_add(timeout);
             while points.len() < self.expected_backends {
-                let now = std::time::Instant::now();
-                if now >= deadline {
+                let left = deadline.map_or(Duration::MAX, |d| {
+                    d.saturating_duration_since(std::time::Instant::now())
+                });
+                if left.is_zero() {
                     return Err(MrnetError::Instantiation(format!(
                         "only {} of {} attach points advertised before timeout",
                         points.len(),
                         self.expected_backends
                     )));
                 }
-                match rx.recv_timeout(deadline - now) {
+                match rx.recv_timeout(left) {
                     Ok((rank, endpoint)) => points.push(AttachPoint { rank, endpoint }),
                     Err(_) => {
                         return Err(MrnetError::Instantiation(

@@ -24,17 +24,22 @@ use mrnet_obs::{
     log_error, log_warn, ConnSendStats, MetricsSection, NetworkSnapshot, NodeMetrics,
     TraceAssembler, TraceDir,
 };
-use mrnet_packet::bytes::Bytes;
+use mrnet_packet::bytes::{Bytes, BytesMut};
 use mrnet_packet::{BatchPolicy, Batcher, Packet, Rank, StreamId};
 use mrnet_transport::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
-use mrnet_transport::{self as transport, ClockEstimate, FrameSink, SharedConnection};
+use mrnet_transport::{
+    self as transport, ClockEstimate, FrameSink, PacketFrame, SharedConnection, Took,
+};
 
 use crate::delivery::Delivery;
 use crate::error::{MrnetError, Result};
 use crate::event::FailureLedger;
 use crate::internal::stream_manager::StreamManager;
 use crate::introspect::{self, METRICS_REPLY, METRICS_REQUEST, METRICS_STREAM, TRACE_REPORT};
-use crate::proto::{decode_frame, encode_data_frame, encode_traced_data_frame, Control, Frame};
+use crate::proto::{
+    append_to_data_frame, decode_frame, encode_data_frame, encode_traced_data_frame,
+    start_data_frame, Control, Frame,
+};
 use crate::route::RoutingTable;
 use crate::streams::StreamDef;
 
@@ -64,6 +69,10 @@ pub enum Inbound {
     ParentClosed,
     /// A frame from child `u32`.
     Child(u32, Bytes),
+    /// A data frame from child `u32` that is still open: packets the
+    /// child sends before the loop drains its inbox are appended to it
+    /// while it is the inbox's last message (see [`InboxSink`]).
+    ChildData(u32, BytesMut),
     /// Child `u32`'s connection closed.
     ChildClosed(u32),
     /// A user command (root only).
@@ -193,6 +202,12 @@ enum FailureOrigin {
 /// thread that produced them: the peer's sending thread in-process, the
 /// TCP reader thread otherwise. The inbox is unbounded, so a delivery
 /// never blocks.
+///
+/// A child's data packet (an in-process back-end's send) joins the
+/// inbox's last message when that is this child's open data frame with
+/// room left, and opens a new one otherwise. Only the last message is
+/// ever appended to, and a whole frame is never open, so every packet
+/// still reaches the loop in the order the child sent it.
 struct InboxSink {
     inbox: Sender<Inbound>,
     /// `None` for the parent connection, `Some(i)` for child `i`.
@@ -206,6 +221,29 @@ impl FrameSink for InboxSink {
             Some(i) => Inbound::Child(i, frame),
         };
         self.inbox.send(msg).is_ok()
+    }
+
+    fn packet(&self, packet: &Packet, frame: PacketFrame) -> Option<Took> {
+        let Some(i) = self.child else {
+            let frame = frame(packet);
+            let len = frame.len();
+            return self.frame(frame).then_some(Took::Frame(len));
+        };
+        let mut took = Took::Merged(packet.encoded_size_hint());
+        self.inbox
+            .merge_or_send(
+                |tail| match tail {
+                    Inbound::ChildData(j, open) => *j == i && append_to_data_frame(open, packet),
+                    _ => false,
+                },
+                || {
+                    let open = start_data_frame(packet);
+                    took = Took::Frame(open.len());
+                    Inbound::ChildData(i, open)
+                },
+            )
+            .ok()
+            .map(|()| took)
     }
 
     fn closed(self: Box<Self>) {
@@ -388,6 +426,11 @@ impl NodeLoop {
                         ))
                     }
                 },
+                Ok(Inbound::ChildData(..)) => {
+                    return Err(MrnetError::Protocol(
+                        "data frame before instantiation finished".into(),
+                    ))
+                }
                 Ok(Inbound::ChildClosed(i)) => {
                     return Err(MrnetError::Instantiation(format!(
                         "child {i} of rank {} died during instantiation",
@@ -534,6 +577,7 @@ impl NodeLoop {
                 }
                 true
             }
+            Inbound::ChildData(i, frame) => self.dispatch(Inbound::Child(i, frame.freeze())),
             Inbound::Parent(frame) => match self.on_parent_frame(frame) {
                 Ok(keep) => keep,
                 Err(e) => {

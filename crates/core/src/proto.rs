@@ -11,10 +11,10 @@ use mrnet_filters::SyncMode;
 use mrnet_obs::tracectx::TraceEnvelope;
 use mrnet_packet::bytes::{Buf, BufMut, Bytes, BytesMut};
 use mrnet_packet::{
-    decode_batch_lazy_with, decode_packet_from, encode_batch_into, encode_packet_into,
-    encoded_batch_len,
+    append_to_batch, decode_batch_lazy_with, decode_packet_from, encode_batch_into,
+    encode_packet_into, encoded_batch_len,
     trace::{decode_trailer_from, encode_trailer_into},
-    DecodeLimits, Packet, PacketBuilder, Rank, StreamId, Value,
+    BatchPolicy, DecodeLimits, Packet, PacketBuilder, Rank, StreamId, Value,
 };
 
 use crate::error::{MrnetError, Result};
@@ -111,6 +111,25 @@ pub fn encode_data_frame(packets: &[Packet]) -> Bytes {
     buf.put_u8(FRAME_DATA);
     encode_batch_into(packets, &mut buf);
     buf.freeze()
+}
+
+/// Starts a data frame holding `packet` that [`append_to_data_frame`]
+/// can grow. Frozen, it is [`encode_data_frame`] of the packets it
+/// holds.
+pub fn start_data_frame(packet: &Packet) -> BytesMut {
+    let packets = std::slice::from_ref(packet);
+    let mut buf = BytesMut::with_capacity(1 + encoded_batch_len(packets));
+    buf.put_u8(FRAME_DATA);
+    encode_batch_into(packets, &mut buf);
+    buf
+}
+
+/// Appends `packet` to a frame from [`start_data_frame`], unless the
+/// frame would then exceed [`BatchPolicy::default`]'s packet or byte
+/// cap. Returns whether it did.
+pub fn append_to_data_frame(frame: &mut BytesMut, packet: &Packet) -> bool {
+    debug_assert_eq!(frame.first(), Some(&FRAME_DATA));
+    append_to_batch(frame, 1, packet, &BatchPolicy::default())
 }
 
 /// Encodes a batch plus trace-envelope trailers. With no envelopes

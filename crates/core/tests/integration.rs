@@ -856,12 +856,16 @@ fn timeout_wave_is_released_under_steady_traffic() {
     flood.send(0, "%d", vec![Value::Int32(0)]).unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The flooder reports here once it has stopped sending, so the tree
+    // is not shut down under a send that already passed its stop check.
+    let (flood_done_tx, flood_done) = std::sync::mpsc::channel();
     let (timed_id, flood_id) = (timed.id(), flood.id());
     let handles: Vec<_> = dep
         .backends
         .into_iter()
         .map(|be| {
             let stop = stop.clone();
+            let flood_done_tx = flood_done_tx.clone();
             std::thread::spawn(move || {
                 if be.rank() == flooder {
                     be.recv().unwrap();
@@ -876,6 +880,7 @@ fn timeout_wave_is_released_under_steady_traffic() {
                         be.send(flood_id, 0, "%d", vec![Value::Int32(i)]).unwrap();
                         i += 1;
                     }
+                    let _ = flood_done_tx.send(());
                 }
                 // Everyone else stays silent on both streams.
                 loop {
@@ -906,6 +911,7 @@ fn timeout_wave_is_released_under_steady_traffic() {
     let partial = timed.recv_timeout(Duration::from_secs(1));
     stop.store(true, Ordering::Relaxed);
     let flooded = drain.join().unwrap();
+    let _ = flood_done.recv_timeout(Duration::from_secs(10));
     net.shutdown();
     for h in handles {
         h.join().unwrap();

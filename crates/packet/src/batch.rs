@@ -136,6 +136,28 @@ pub fn encode_batch_into(packets: &[Packet], buf: &mut BytesMut) {
     }
 }
 
+/// Appends `packet` to the packet buffer that [`encode_batch_into`]
+/// wrote into `buf` from offset `start`, and counts it there, unless
+/// the buffer would then hold more than `policy.max_packets` packets or
+/// `buf` more than `policy.max_bytes` bytes. Returns whether it did.
+pub fn append_to_batch(
+    buf: &mut BytesMut,
+    start: usize,
+    packet: &Packet,
+    policy: &BatchPolicy,
+) -> bool {
+    let count_at = start..start + 4;
+    let count = u32::from_le_bytes(buf[count_at.clone()].try_into().expect("4 bytes"));
+    if count as usize >= policy.max_packets
+        || buf.len() + packet.encoded_size_hint() > policy.max_bytes
+    {
+        return false;
+    }
+    buf[count_at].copy_from_slice(&(count + 1).to_le_bytes());
+    encode_packet_into(packet, buf);
+    true
+}
+
 /// Decodes a packet buffer produced by [`encode_batch`] into lazy
 /// packets: headers are parsed and every packet's wire structure is
 /// validated against [`DecodeLimits::from_env`], but payloads stay as
@@ -211,6 +233,33 @@ mod tests {
         let packets: Vec<_> = (0..10).map(pkt).collect();
         let decoded = decode_batch(encode_batch(&packets)).unwrap();
         assert_eq!(decoded, packets);
+    }
+
+    #[test]
+    fn appended_batch_decodes_and_stops_at_the_caps() {
+        let policy = BatchPolicy {
+            max_packets: 3,
+            max_bytes: 1024,
+        };
+        let packets: Vec<_> = (0..4).map(pkt).collect();
+        let mut buf = BytesMut::new();
+        buf.put_u8(0xee); // a header before the batch
+        encode_batch_into(&packets[..1], &mut buf);
+        assert!(append_to_batch(&mut buf, 1, &packets[1], &policy));
+        assert!(append_to_batch(&mut buf, 1, &packets[2], &policy));
+        assert!(!append_to_batch(&mut buf, 1, &packets[3], &policy));
+        let bytes = buf.freeze();
+        assert_eq!(bytes[0], 0xee);
+        assert_eq!(bytes.slice(1..), encode_batch(&packets[..3]));
+
+        let mut buf = BytesMut::new();
+        encode_batch_into(&packets[..1], &mut buf);
+        let tight = BatchPolicy {
+            max_packets: 64,
+            max_bytes: buf.len() + packets[1].encoded_size_hint() - 1,
+        };
+        assert!(!append_to_batch(&mut buf, 0, &packets[1], &tight));
+        assert_eq!(buf.freeze(), encode_batch(&packets[..1]));
     }
 
     #[test]

@@ -199,6 +199,36 @@ impl<T> Sender<T> {
         }
     }
 
+    /// Offers a message to the one at the back of the queue first:
+    /// `merge` gets that tail and returns true if it took the message
+    /// in. Otherwise `msg` builds the message, which is queued as
+    /// [`Sender::send`] queues it. One lock either way. A merge wakes
+    /// nobody: a queue with a tail has no receiver parked on it, and it
+    /// is no fuller than before.
+    pub fn merge_or_send(
+        &self,
+        merge: impl FnOnce(&mut T) -> bool,
+        msg: impl FnOnce() -> T,
+    ) -> Result<(), SendError<()>> {
+        let mut st = self.inner.lock();
+        if st.receivers > 0 && st.queue.back_mut().is_some_and(merge) {
+            return Ok(());
+        }
+        loop {
+            if st.receivers == 0 {
+                return Err(SendError(()));
+            }
+            match st.cap {
+                Some(cap) if st.queue.len() >= cap => st = self.inner.cv.wait(st, None),
+                _ => {
+                    st.queue.push_back(msg());
+                    self.inner.cv.notify_all();
+                    return Ok(());
+                }
+            }
+        }
+    }
+
     /// Sends without blocking: fails with [`TrySendError::Full`]
     /// when a bounded channel is at capacity.
     pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {

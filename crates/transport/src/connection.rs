@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use mrnet_packet::bytes::Bytes;
+use mrnet_packet::Packet;
 
 use crate::error::Result;
 
@@ -62,6 +63,27 @@ impl ConnCounters {
         self.bytes_recv.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
+    /// Counts one packet a sink took: a frame of its own, or bytes
+    /// added to a frame that is already counted.
+    pub(crate) fn note_sent_packet(&self, took: Took) {
+        match took {
+            Took::Frame(len) => self.note_sent(len),
+            Took::Merged(len) => {
+                self.bytes_sent.fetch_add(len as u64, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The receiving side of [`ConnCounters::note_sent_packet`].
+    pub(crate) fn note_recv_packet(&self, took: Took) {
+        match took {
+            Took::Frame(len) => self.note_recv(len),
+            Took::Merged(len) => {
+                self.bytes_recv.fetch_add(len as u64, Ordering::Relaxed);
+            }
+        }
+    }
+
     pub(crate) fn note_coalesced(&self, saved_writes: u64) {
         self.frames_coalesced
             .fetch_add(saved_writes, Ordering::Relaxed);
@@ -88,10 +110,25 @@ impl ConnCounters {
     }
 }
 
+/// Encodes one data packet as a frame of its own. The frame format
+/// belongs to the layer above the transport, which passes this along
+/// with each packet-level send.
+pub type PacketFrame = fn(&Packet) -> Bytes;
+
+/// How a sink took one packet handed to [`FrameSink::packet`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Took {
+    /// As a new frame of this many bytes.
+    Frame(usize),
+    /// Appended to a frame the receiver has not taken yet: this many
+    /// more bytes, and no new frame.
+    Merged(usize),
+}
+
 /// Where a connection delivers inbound frames once
 /// [`Connection::set_sink`] has installed it.
 ///
-/// Both methods run on the thread that produced the frame (the sending
+/// Every method runs on the thread that produced the frame (the sending
 /// thread for the in-process transport, the reader thread for TCP),
 /// with the connection's receive lock held. A sink must therefore
 /// never block and never call back into the connection.
@@ -99,6 +136,15 @@ pub trait FrameSink: Send {
     /// Takes one frame. Returns false once the receiver is gone; the
     /// connection then stops delivering.
     fn frame(&self, frame: Bytes) -> bool;
+
+    /// Takes one data packet, which the sink may append to a frame it
+    /// has not handed on yet. `None` once the receiver is gone. The
+    /// default takes it as the one-packet frame `frame` encodes.
+    fn packet(&self, packet: &Packet, frame: PacketFrame) -> Option<Took> {
+        let frame = frame(packet);
+        let len = frame.len();
+        self.frame(frame).then_some(Took::Frame(len))
+    }
 
     /// The connection ended. Called exactly once, after the last frame.
     fn closed(self: Box<Self>);
@@ -122,6 +168,13 @@ pub trait Connection: Send + Sync {
     /// a bounded send buffer treat this as [`Connection::send`].
     fn try_send(&self, frame: Bytes) -> Result<()> {
         self.send(frame)
+    }
+
+    /// Sends one data packet. The in-process transport hands it to the
+    /// peer's sink, which may merge it into a frame still waiting
+    /// there; the default sends the one-packet frame `frame` encodes.
+    fn send_packet(&self, packet: &Packet, frame: PacketFrame) -> Result<()> {
+        self.send(frame(packet))
     }
 
     /// Receives the next frame, blocking until one arrives or the peer

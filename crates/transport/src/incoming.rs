@@ -21,9 +21,10 @@ use std::time::Instant;
 
 use mrnet_obs::Unpoisoned;
 use mrnet_packet::bytes::Bytes;
+use mrnet_packet::Packet;
 
 use crate::chan::CountedCondvar;
-use crate::connection::{ConnCounters, FrameSink};
+use crate::connection::{ConnCounters, FrameSink, PacketFrame, Took};
 
 /// The producer ended and every queued frame has been received.
 #[derive(Debug)]
@@ -84,10 +85,7 @@ impl Incoming {
             }
             if let Some(sink) = &st.sink {
                 if !sink.frame(frame) {
-                    st.abandoned = true;
-                    if let Some(sink) = st.sink.take() {
-                        sink.closed();
-                    }
+                    Self::refuse(&mut st);
                     return false;
                 }
                 break;
@@ -103,6 +101,37 @@ impl Incoming {
         }
         self.counters.note_recv(len);
         true
+    }
+
+    /// Producer side: hands one data packet to the sink, which may
+    /// merge it into a frame it holds; without a sink, queues the
+    /// packet as the frame `frame` encodes. `None` once nobody will
+    /// receive it.
+    pub(crate) fn push_packet(&self, packet: &Packet, frame: PacketFrame) -> Option<Took> {
+        let mut st = self.lock();
+        if st.abandoned {
+            return None;
+        }
+        let Some(sink) = &st.sink else {
+            drop(st);
+            let frame = frame(packet);
+            let len = frame.len();
+            return self.push(frame).then_some(Took::Frame(len));
+        };
+        let Some(took) = sink.packet(packet, frame) else {
+            Self::refuse(&mut st);
+            return None;
+        };
+        self.counters.note_recv_packet(took);
+        Some(took)
+    }
+
+    /// The sink refused a delivery: nobody will receive again.
+    fn refuse(st: &mut State) {
+        st.abandoned = true;
+        if let Some(sink) = st.sink.take() {
+            sink.closed();
+        }
     }
 
     /// Producer side: no frame follows. An installed sink is closed now;

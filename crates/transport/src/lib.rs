@@ -20,7 +20,8 @@ mod tcp;
 
 pub use clock::ClockEstimate;
 pub use connection::{
-    BoxedConnection, BoxedListener, ConnStats, Connection, FrameSink, Listener, SharedConnection,
+    BoxedConnection, BoxedListener, ConnStats, Connection, FrameSink, Listener, PacketFrame,
+    SharedConnection, Took,
 };
 pub use error::{Result, TransportError};
 pub use local::{LocalConnection, LocalFabric, LocalListener};

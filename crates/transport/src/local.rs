@@ -14,10 +14,12 @@ use std::time::{Duration, Instant};
 
 use mrnet_obs::Unpoisoned;
 use mrnet_packet::bytes::Bytes;
+use mrnet_packet::Packet;
 
 use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::connection::{
     BoxedConnection, BoxedListener, ConnCounters, ConnStats, Connection, FrameSink, Listener,
+    PacketFrame,
 };
 use crate::error::{Result, TransportError};
 use crate::incoming::Incoming;
@@ -76,6 +78,15 @@ impl Connection for LocalConnection {
             return Err(TransportError::Closed);
         }
         self.counters.note_sent(len);
+        Ok(())
+    }
+
+    fn send_packet(&self, packet: &Packet, frame: PacketFrame) -> Result<()> {
+        let took = self
+            .outgoing
+            .push_packet(packet, frame)
+            .ok_or(TransportError::Closed)?;
+        self.counters.note_sent_packet(took);
         Ok(())
     }
 
@@ -200,6 +211,9 @@ impl LocalListener {
 mod tests {
     use super::*;
     use crate::connection::testing::{expect_numbered_then_closed, numbered, recorder};
+    use crate::connection::Took;
+    use mrnet_packet::{encode_packet, PacketBuilder};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn pair_carries_frames_both_ways() {
@@ -323,8 +337,47 @@ mod tests {
         let (sink, seen) = recorder();
         b.set_sink(sink);
         drop(seen);
+        let packet = PacketBuilder::new(1, 1).build();
+        assert_eq!(
+            a.send_packet(&packet, encode_packet).unwrap_err(),
+            TransportError::Closed
+        );
         assert_eq!(a.send(numbered(0)).unwrap_err(), TransportError::Closed);
         assert_eq!(a.send(numbered(1)).unwrap_err(), TransportError::Closed);
+    }
+
+    #[test]
+    fn packet_sends_count_the_frames_the_sink_makes() {
+        /// Reports the first packet as a new frame and the rest as merged
+        /// into it.
+        struct Merging(AtomicBool);
+        impl FrameSink for Merging {
+            fn frame(&self, _: Bytes) -> bool {
+                true
+            }
+            fn packet(&self, packet: &Packet, frame: PacketFrame) -> Option<Took> {
+                let len = frame(packet).len();
+                Some(match self.0.swap(true, Ordering::Relaxed) {
+                    false => Took::Frame(len),
+                    true => Took::Merged(len),
+                })
+            }
+            fn closed(self: Box<Self>) {}
+        }
+
+        let (a, b) = LocalConnection::pair("x", "y");
+        let packet = PacketBuilder::new(1, 1).push(7i32).build();
+        let len = encode_packet(&packet).len() as u64;
+        // Before a sink, a packet queues as its own frame.
+        a.send_packet(&packet, encode_packet).unwrap();
+        assert_eq!(b.recv().unwrap(), encode_packet(&packet));
+        b.set_sink(Box::new(Merging(AtomicBool::new(false))));
+        for _ in 0..3 {
+            a.send_packet(&packet, encode_packet).unwrap();
+        }
+        let (sent, recv) = (a.stats(), b.stats());
+        assert_eq!((sent.frames_sent, sent.bytes_sent), (2, 4 * len));
+        assert_eq!((recv.frames_recv, recv.bytes_recv), (2, 4 * len));
     }
 
     #[test]
