@@ -11,7 +11,8 @@
 //! Run with: `cargo run -p mrnet-bench --release --bin fig4_logp`
 
 use mrnet_bench::{print_header, print_row};
-use mrnet_topology::{fig4_comparison, LogP};
+use mrnet_sim::LogGpParams;
+use mrnet_topology::fig4_comparison;
 
 fn main() {
     println!("Figure 4: balanced (4a) vs unbalanced (4b) topologies, 16 back-ends");
@@ -35,11 +36,11 @@ fn main() {
         (4.0, 0.25),
         (10.0, 0.1),
     ] {
-        let params = LogP {
+        let params = LogGpParams {
             latency,
             overhead: 1.0,
             gap,
-            gap_per_byte: 0.0,
+            big_gap: 0.0,
         };
         let row = fig4_comparison(&params);
         let winner = if row.balanced_latency <= row.unbalanced_latency {
@@ -64,13 +65,7 @@ fn main() {
     println!("which is why the paper's experiments use balanced trees.");
 
     // The paper's symbolic check.
-    let unit = LogP {
-        latency: 1.0,
-        overhead: 1.0,
-        gap: 1.0,
-        gap_per_byte: 0.0,
-    };
-    let row = fig4_comparison(&unit);
+    let row = fig4_comparison(&LogGpParams::unit());
     assert!((row.balanced_latency - (8.0 + 4.0 + 2.0)).abs() < 1e-9);
     assert!((row.balanced_interval - 4.0).abs() < 1e-9);
     assert!((row.unbalanced_interval - 6.0).abs() < 1e-9);

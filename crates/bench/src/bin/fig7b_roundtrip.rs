@@ -13,7 +13,6 @@ use mrnet_bench::{
     experiment_topology, fanout_label, print_header, print_row, print_trace_latency_table,
     BenchTree,
 };
-use mrnet_packet::BatchPolicy;
 use mrnet_sim::LogGpParams;
 
 fn main() {
@@ -42,7 +41,7 @@ fn main() {
     println!("\nper-hop latency, live 2-way tree with 4 back-ends (every wave traced):\n");
     trace::set_enabled(true);
     tracectx::set_sample_every(1);
-    let tree = BenchTree::new(experiment_topology(Some(2), 4), BatchPolicy::default());
+    let tree = BenchTree::new(experiment_topology(Some(2), 4));
     for _ in 0..50 {
         tree.roundtrip();
     }

@@ -14,7 +14,6 @@ use mrnet_bench::{
     experiment_topology, fanout_label, print_header, print_hop_breakdown, print_row,
     print_trace_latency_table, BenchTree,
 };
-use mrnet_packet::BatchPolicy;
 use mrnet_sim::LogGpParams;
 
 fn main() {
@@ -42,7 +41,7 @@ fn main() {
     println!("\ninternal per-hop breakdown, live 2-way tree with 4 back-ends (traced):\n");
     trace::set_enabled(true);
     tracectx::set_sample_every(1);
-    let tree = BenchTree::new(experiment_topology(Some(2), 4), BatchPolicy::default());
+    let tree = BenchTree::new(experiment_topology(Some(2), 4));
     tree.reduction_waves(200);
     print_hop_breakdown(&tree.net);
     println!("\nassembled per-hop latency (from sampled trace envelopes):\n");

@@ -14,7 +14,6 @@
 use std::time::Duration;
 
 use mrnet::{Deployment, Network, NetworkBuilder, Stream, SyncMode, Value};
-use mrnet_packet::BatchPolicy;
 use mrnet_topology::{generator, HostPool, Topology};
 
 /// Builds the standard experiment topologies: `None` = flat,
@@ -52,9 +51,8 @@ pub struct BenchTree {
 
 impl BenchTree {
     /// Stands up the tree with an integer-sum reduction stream.
-    pub fn new(topology: Topology, batch: BatchPolicy) -> BenchTree {
+    pub fn new(topology: Topology) -> BenchTree {
         let Deployment { network, backends } = NetworkBuilder::new(topology)
-            .batch_policy(batch)
             .launch()
             .expect("instantiate bench tree");
         let threads: Vec<_> = backends
@@ -279,7 +277,7 @@ mod tests {
 
     #[test]
     fn bench_tree_round_trips() {
-        let tree = BenchTree::new(experiment_topology(Some(2), 4), BatchPolicy::default());
+        let tree = BenchTree::new(experiment_topology(Some(2), 4));
         tree.roundtrip();
         tree.reduction_waves(5);
         tree.shutdown();

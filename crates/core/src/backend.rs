@@ -229,20 +229,8 @@ impl Backend {
     /// id of the stream it arrived on (Figure 2's
     /// `MR_Stream::recv(&val, &stream)`).
     pub fn recv(&self) -> Result<(Packet, StreamId)> {
-        loop {
-            if let Some(p) = self.pending.lock().unpoisoned().pop_front() {
-                let sid = p.stream_id();
-                return Ok((p, sid));
-            }
-            if self.is_down() {
-                return Err(MrnetError::Shutdown);
-            }
-            let frame = self.conn.recv().map_err(|_| {
-                self.note_shutdown();
-                MrnetError::Shutdown
-            })?;
-            self.handle_frame(frame)?;
-        }
+        // No deadline: only a packet or shutdown ends the wait.
+        self.recv_timeout(Duration::MAX)?.ok_or(MrnetError::Timeout)
     }
 
     /// Like [`Backend::recv`] but gives up after `timeout`, returning

@@ -9,7 +9,6 @@
 use std::sync::Arc;
 
 use mrnet_filters::FilterRegistry;
-use mrnet_packet::BatchPolicy;
 use mrnet_transport::{Listener, RetryPolicy, SharedConnection, TcpTransportListener};
 
 use crate::internal::process::NodeLoop;
@@ -95,7 +94,6 @@ pub fn run(
         Some(parent),
         children,
         None,
-        BatchPolicy::default(),
         None,
         NodeLoop::inbox(),
     );

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use mrnet_filters::FilterRegistry;
 use mrnet_obs::{log_error, TraceAssembler};
-use mrnet_packet::{BatchPolicy, Rank};
+use mrnet_packet::Rank;
 use mrnet_topology::{Role, Topology};
 use mrnet_transport::chan::{bounded, unbounded, Receiver, Sender};
 use mrnet_transport::{
@@ -199,19 +199,17 @@ enum Launched {
 pub struct NetworkBuilder {
     topology: Topology,
     registry: FilterRegistry,
-    batch_policy: BatchPolicy,
     transport: WireTransport,
     ready_timeout: Duration,
 }
 
 impl NetworkBuilder {
-    /// Starts a builder over `topology` with the built-in filter set,
-    /// default batching, and channel transport.
+    /// Starts a builder over `topology` with the built-in filter set
+    /// and channel transport.
     pub fn new(topology: Topology) -> NetworkBuilder {
         NetworkBuilder {
             topology,
             registry: FilterRegistry::with_builtins(),
-            batch_policy: BatchPolicy::default(),
             transport: WireTransport::Channels,
             ready_timeout: Duration::from_secs(60),
         }
@@ -221,12 +219,6 @@ impl NetworkBuilder {
     /// in the tree, mirroring a shared object visible on all hosts).
     pub fn registry(mut self, registry: FilterRegistry) -> NetworkBuilder {
         self.registry = registry;
-        self
-    }
-
-    /// Overrides the packet-buffer batching policy.
-    pub fn batch_policy(mut self, policy: BatchPolicy) -> NetworkBuilder {
-        self.batch_policy = policy;
         self
     }
 
@@ -342,7 +334,6 @@ impl NetworkBuilder {
             }
             let rank = id.0 as Rank;
             let registry = self.registry.clone();
-            let batch = self.batch_policy;
             let child_ranks: Vec<Rank> = topo.children(id).iter().map(|c| c.0 as Rank).collect();
             let ledger_opt = (role == Role::FrontEnd).then(|| ledger.clone());
             let assembler_opt = (role == Role::FrontEnd).then(|| assembler.clone());
@@ -390,7 +381,6 @@ impl NetworkBuilder {
                             parent,
                             children,
                             delivery_opt,
-                            batch,
                             ready_opt,
                             inbox,
                         );
@@ -574,7 +564,6 @@ pub fn launch_processes_with_registry(
                 None,
                 children,
                 Some(deliv),
-                BatchPolicy::default(),
                 Some(ready_tx),
                 root_inbox,
             );

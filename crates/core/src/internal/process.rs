@@ -2,7 +2,7 @@
 //! root router).
 //!
 //! Implements the functional layers of Figure 3: inbound packet
-//! buffers are unbatched, packets demultiplexed by stream id to their
+//! buffers are split into packets, demultiplexed by stream id to their
 //! stream managers, synchronized and aggregated, then re-batched per
 //! neighbor for transmission. Packets are manipulated by reference
 //! throughout (cheap [`Packet`] handle clones), matching §2.3's
@@ -25,7 +25,7 @@ use mrnet_obs::{
     TraceAssembler, TraceDir,
 };
 use mrnet_packet::bytes::{Bytes, BytesMut};
-use mrnet_packet::{BatchPolicy, Batcher, Packet, Rank, StreamId};
+use mrnet_packet::{Batcher, Packet, Rank, StreamId};
 use mrnet_transport::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mrnet_transport::{
     self as transport, ClockEstimate, FrameSink, PacketFrame, SharedConnection, Took,
@@ -270,14 +270,12 @@ impl NodeLoop {
     /// loop thread starts). `delivery` is `Some` at the root;
     /// `ready_tx` (root only) receives the end-point set once subtree
     /// reports have been collected.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         rank: Rank,
         registry: FilterRegistry,
         parent: Option<SharedConnection>,
         children: Vec<SharedConnection>,
         delivery: Option<Arc<Delivery>>,
-        batch_policy: BatchPolicy,
         ready_tx: Option<Sender<Vec<Rank>>>,
         inbox: (Sender<Inbound>, Receiver<Inbound>),
     ) -> NodeLoop {
@@ -311,8 +309,8 @@ impl NodeLoop {
             inbox: rx,
             delivery,
             epoch: Instant::now(),
-            child_batchers: (0..n).map(|_| Batcher::new(batch_policy)).collect(),
-            parent_batcher: Batcher::new(batch_policy),
+            child_batchers: (0..n).map(|_| Batcher::new()).collect(),
+            parent_batcher: Batcher::new(),
             deliveries: Vec::new(),
             ready_tx,
             attach_tx: None,
@@ -509,7 +507,9 @@ impl NodeLoop {
     /// Each turn takes every queued inbox message under one lock,
     /// dispatches them in order, fires the timers that are due, and
     /// then flushes every batcher once: packets that arrived together
-    /// leave together, in as few frames as [`BatchPolicy`] allows.
+    /// leave together, in as few frames as the batch caps
+    /// ([`mrnet_packet::MAX_BATCH_PACKETS`],
+    /// [`mrnet_packet::MAX_BATCH_BYTES`]) allow.
     pub fn run(mut self) {
         self.start_clock_sync();
         let mut batch = VecDeque::new();
@@ -652,7 +652,7 @@ impl NodeLoop {
                 .managers
                 .get(&sid)
                 .map_or(0, |m| m.live_endpoints().len());
-            let (waves, all_dead) = self.managers.get_mut(&sid).unwrap().prune_sync(&fresh, now);
+            let (waves, all_dead) = self.managers.get_mut(&sid).unwrap().prune(&fresh, now);
             let shrank = self
                 .managers
                 .get(&sid)
@@ -835,7 +835,7 @@ impl NodeLoop {
             .managers
             .iter_mut()
             .filter_map(|(&sid, mgr)| {
-                let waves = mgr.poll_sync(now);
+                let waves = mgr.poll(now);
                 (!waves.is_empty()).then_some((sid, waves))
             })
             .collect();
@@ -930,7 +930,7 @@ impl NodeLoop {
                 continue;
             }
             let now = *now.get_or_insert_with(|| epoch.elapsed().as_secs_f64());
-            match mgr.up_sync(child, packet, now) {
+            match mgr.up(child, packet, now) {
                 Ok(waves) if waves.is_empty() => {}
                 Ok(waves) => ready.extend(self.run_released(sid, waves)),
                 Err(e) => {
@@ -988,8 +988,8 @@ impl NodeLoop {
     }
 
     /// A completed down-wave envelope riding up from the back-end that
-    /// terminated it: ingest at the root, forward verbatim (unbatched,
-    /// like all introspection traffic) elsewhere.
+    /// terminated it: ingest at the root, forward verbatim (in a frame
+    /// of its own, like all introspection traffic) elsewhere.
     fn on_trace_report(&mut self, packet: &Packet) {
         if let Some(assembler) = &self.assembler {
             match introspect::decode_trace_report(packet) {
@@ -1207,19 +1207,15 @@ impl NodeLoop {
             return Ok(());
         }
         let frame = def.to_control().to_frame();
-        let mgr = StreamManager::with_metrics(
-            def,
-            &self.routes,
-            &self.registry,
-            self.rank,
-            &self.metrics,
-        )?;
+        let mgr = StreamManager::new(def, &self.routes, &self.registry, self.rank, &self.metrics)?;
         // Announce to participating children before any data can flow.
         // A child that died (possibly unnoticed until this send) must
-        // not prevent the stream from existing for the survivors.
+        // not prevent the stream from existing for the survivors. Its
+        // death is declared by its `ChildClosed`, in frame order, so
+        // the frames it queued before dying are still read.
         for &child in mgr.participants() {
-            if self.child_alive[child] && self.send_child(child, frame.clone()).is_err() {
-                self.child_alive[child] = false;
+            if self.child_alive[child] {
+                let _ = self.send_child(child, frame.clone());
             }
         }
         self.managers.insert(mgr.def().id, mgr);
@@ -1280,6 +1276,9 @@ impl NodeLoop {
         Ok(())
     }
 
+    /// Sends child `child` its pending batch. A failed send is ignored:
+    /// the child's `ChildClosed`, which trails the frames it sent
+    /// first, declares its death.
     fn flush_child(&mut self, child: usize) {
         let packets = self.child_batchers[child].drain();
         if !self.child_alive[child] {
@@ -1305,9 +1304,7 @@ impl NodeLoop {
             }
             let frame = encode_traced_data_frame(&packets, &envs);
             self.metrics.frames_encoded.inc();
-            if self.children[child].send(frame).is_err() {
-                self.child_alive[child] = false;
-            }
+            let _ = self.children[child].send(frame);
             return;
         }
         if packets.is_empty() {
@@ -1316,9 +1313,7 @@ impl NodeLoop {
         self.metrics.batch_pkts.record_us(packets.len() as u64);
         let frame = encode_data_frame(&packets);
         self.metrics.frames_encoded.inc();
-        if self.children[child].send(frame.clone()).is_err() {
-            self.child_alive[child] = false;
-        }
+        let _ = self.children[child].send(frame.clone());
         // Encode-once multicast: a sibling whose pending batch holds
         // these exact packet handles would produce a byte-identical
         // frame — hand it this one (a refcount bump) instead of
@@ -1336,9 +1331,7 @@ impl NodeLoop {
             self.child_batchers[sib].drain();
             self.metrics.batch_pkts.record_us(packets.len() as u64);
             self.metrics.frames_shared.inc();
-            if self.children[sib].send(frame.clone()).is_err() {
-                self.child_alive[sib] = false;
-            }
+            let _ = self.children[sib].send(frame.clone());
         }
     }
 
@@ -1471,10 +1464,10 @@ impl NodeLoop {
             if !self.child_alive[i] {
                 continue;
             }
+            // A child whose request send failed is not waited for; its
+            // `ChildClosed` declares it dead in frame order.
             if self.send_child(i, frame.clone()).is_ok() {
                 outstanding.push(i);
-            } else {
-                self.child_alive[i] = false;
             }
         }
         self.refresh_send_metrics();

@@ -43,11 +43,11 @@ pub struct StreamManager {
     /// recomputes routing-table intersections.
     live_route: Vec<usize>,
     /// Per-stream packet counters (shared with the node's registry).
-    counters: Option<Arc<StreamCounters>>,
+    counters: Arc<StreamCounters>,
     /// Upstream-filter timing; the synchronization-delay histogram
     /// (§3.2) is fed from here, the exec histogram from the
     /// `TimedTransform` wrapping `up`.
-    up_stats: Option<Arc<FilterStats>>,
+    up_stats: Arc<FilterStats>,
     /// When the oldest still-pending wave started accumulating.
     first_arrival: Option<f64>,
     /// `DoNotWait` sync and the `null` up filter: every upstream packet
@@ -58,34 +58,14 @@ pub struct StreamManager {
 
 impl StreamManager {
     /// Creates the manager for `def` at a process whose children are
-    /// described by `routes`.
+    /// described by `routes`. Per-stream packet counters and filter
+    /// wait/exec histograms record into `metrics`.
     pub fn new(
         def: StreamDef,
         routes: &RoutingTable,
         registry: &FilterRegistry,
         local_rank: Rank,
-    ) -> Result<StreamManager> {
-        StreamManager::build(def, routes, registry, local_rank, None)
-    }
-
-    /// Like [`StreamManager::new`], but instrumented: per-stream packet
-    /// counters and filter wait/exec histograms record into `metrics`.
-    pub fn with_metrics(
-        def: StreamDef,
-        routes: &RoutingTable,
-        registry: &FilterRegistry,
-        local_rank: Rank,
         metrics: &NodeMetrics,
-    ) -> Result<StreamManager> {
-        StreamManager::build(def, routes, registry, local_rank, Some(metrics))
-    }
-
-    fn build(
-        def: StreamDef,
-        routes: &RoutingTable,
-        registry: &FilterRegistry,
-        local_rank: Rank,
-        metrics: Option<&NodeMetrics>,
     ) -> Result<StreamManager> {
         let (participants, slot_targets): (Vec<usize>, Vec<Vec<Rank>>) = routes
             .children_with_targets(&def.endpoints)
@@ -98,17 +78,9 @@ impl StreamManager {
             .collect();
         let live_route = participants.clone();
         let up_id = registry.id_of(&def.up_filter)?;
-        let (up, counters, up_stats) = match metrics {
-            Some(m) => {
-                let stats = m.filter_stats(&def.up_filter);
-                (
-                    registry.instantiate_timed(up_id, stats.clone())?,
-                    Some(m.stream_counters(def.id)),
-                    Some(stats),
-                )
-            }
-            None => (registry.instantiate(up_id)?, None, None),
-        };
+        let up_stats = metrics.filter_stats(&def.up_filter);
+        let up = registry.instantiate_timed(up_id, up_stats.clone())?;
+        let counters = metrics.stream_counters(def.id);
         let down = registry.instantiate(registry.id_of(&def.down_filter)?)?;
         let relay = def.sync == SyncMode::DoNotWait && def.up_filter == "null";
         let sync = SyncFilter::new(def.sync, participants.len());
@@ -146,16 +118,8 @@ impl StreamManager {
         &self.live_route
     }
 
-    /// Handles an upstream packet arriving from local child `child` at
-    /// time `now`; returns the aggregated packets ready to continue
-    /// upstream.
-    pub fn up(&mut self, child: usize, packet: Packet, now: f64) -> Result<Vec<Packet>> {
-        let waves = self.up_sync(child, packet, now)?;
-        self.transform_waves(waves)
-    }
-
     /// True when upstream packets take [`StreamManager::relay_up`]
-    /// instead of [`StreamManager::up_sync`] + [`StreamManager::transform_wave`].
+    /// instead of [`StreamManager::up`] + [`StreamManager::transform_wave`].
     pub fn is_relay(&self) -> bool {
         self.relay
     }
@@ -167,12 +131,8 @@ impl StreamManager {
     /// no sync-wait or exec time.
     pub fn relay_up(&mut self, child: usize, packet: Packet) -> Result<Packet> {
         self.slot(child)?;
-        if let Some(c) = &self.counters {
-            c.up_pkts.inc();
-        }
-        if let Some(stats) = &self.up_stats {
-            stats.waves.inc();
-        }
+        self.counters.up_pkts.inc();
+        self.up_stats.waves.inc();
         Ok(packet)
     }
 
@@ -187,15 +147,13 @@ impl StreamManager {
         })
     }
 
-    /// The synchronization half of [`StreamManager::up`]: pushes the
-    /// packet into the sync filter and returns the waves it released,
-    /// untransformed, so the caller can transform (and drop) each wave
-    /// on its own with [`StreamManager::transform_wave`].
-    pub fn up_sync(&mut self, child: usize, packet: Packet, now: f64) -> Result<Vec<Vec<Packet>>> {
+    /// Handles an upstream packet arriving from local child `child` at
+    /// time `now`: pushes it into the sync filter and returns the waves
+    /// it released, untransformed, so the caller can transform (and
+    /// drop) each wave on its own with [`StreamManager::transform_wave`].
+    pub fn up(&mut self, child: usize, packet: Packet, now: f64) -> Result<Vec<Vec<Packet>>> {
         let slot = self.slot(child)?;
-        if let Some(c) = &self.counters {
-            c.up_pkts.inc();
-        }
+        self.counters.up_pkts.inc();
         if self.first_arrival.is_none() {
             self.first_arrival = Some(now);
         }
@@ -205,15 +163,8 @@ impl StreamManager {
     }
 
     /// Re-evaluates synchronization deadlines at `now` (for TimeOut
-    /// streams); returns any packets released by a timeout.
-    pub fn poll(&mut self, now: f64) -> Result<Vec<Packet>> {
-        let waves = self.poll_sync(now);
-        self.transform_waves(waves)
-    }
-
-    /// The synchronization half of [`StreamManager::poll`]: released
-    /// waves, untransformed.
-    pub fn poll_sync(&mut self, now: f64) -> Vec<Vec<Packet>> {
+    /// streams); returns the waves a timeout released, untransformed.
+    pub fn poll(&mut self, now: f64) -> Vec<Vec<Packet>> {
         let waves = self.sync.collect(now);
         self.note_released(&waves, now);
         waves
@@ -226,10 +177,8 @@ impl StreamManager {
             return;
         }
         if let Some(start) = self.first_arrival.take() {
-            if let Some(stats) = &self.up_stats {
-                for _ in waves {
-                    stats.wait_us.record_secs(now - start);
-                }
+            for _ in waves {
+                self.up_stats.wait_us.record_secs(now - start);
             }
         }
         if self.sync.has_pending() {
@@ -240,19 +189,9 @@ impl StreamManager {
         }
     }
 
-    /// Runs released waves through the upstream transformation filter.
-    /// The first failing wave fails the whole call; the node loop uses
-    /// [`StreamManager::transform_wave`] to drop failing waves singly.
-    pub fn transform_waves(&mut self, waves: Vec<Vec<Packet>>) -> Result<Vec<Packet>> {
-        let mut out = Vec::new();
-        for wave in waves {
-            out.extend(self.transform_wave(wave)?);
-        }
-        Ok(out)
-    }
-
     /// Runs one released wave through the upstream transformation
-    /// filter. The aggregate continues on the same stream.
+    /// filter. The aggregate continues on the same stream; a failing
+    /// wave fails alone, and the caller drops it.
     pub fn transform_wave(&mut self, wave: Vec<Packet>) -> Result<Vec<Packet>> {
         let produced = self.up.transform(wave, &self.ctx)?;
         Ok(produced
@@ -273,9 +212,7 @@ impl StreamManager {
     /// supported for downstream data flows" (§2.3), so each packet is
     /// transformed as a singleton wave.
     pub fn down(&mut self, packet: Packet) -> Result<Vec<Packet>> {
-        if let Some(c) = &self.counters {
-            c.down_pkts.inc();
-        }
+        self.counters.down_pkts.inc();
         let produced = self.down.transform(vec![packet], &self.ctx)?;
         Ok(produced
             .into_iter()
@@ -297,19 +234,10 @@ impl StreamManager {
     /// Shrinks the stream's membership after the ranks in `dead`
     /// failed: removes them from the end-point set, deactivates
     /// sync-filter slots whose every target died (so `WaitForAll`
-    /// waves complete with the survivors), and runs any waves the
-    /// shrinkage released through the upstream filter. Returns the
-    /// released aggregate packets and whether the stream now has no
-    /// end-points left at all.
-    pub fn prune(&mut self, dead: &[Rank], now: f64) -> Result<(Vec<Packet>, bool)> {
-        let (released, empty) = self.prune_sync(dead, now);
-        Ok((self.transform_waves(released)?, empty))
-    }
-
-    /// The synchronization half of [`StreamManager::prune`]: shrinks
-    /// membership and returns the released waves untransformed, plus
-    /// whether the stream has no end-points left.
-    pub fn prune_sync(&mut self, dead: &[Rank], now: f64) -> (Vec<Vec<Packet>>, bool) {
+    /// waves complete with the survivors). Returns the waves the
+    /// shrinkage released, untransformed, and whether the stream now
+    /// has no end-points left at all.
+    pub fn prune(&mut self, dead: &[Rank], now: f64) -> (Vec<Vec<Packet>>, bool) {
         self.def.endpoints.retain(|r| !dead.contains(r));
         let mut released = Vec::new();
         for slot in 0..self.slot_targets.len() {
@@ -355,24 +283,46 @@ mod tests {
         }
     }
 
+    /// A manager at rank 3 over [`routes`], recording into `metrics`.
+    fn manager_in(
+        endpoints: Vec<Rank>,
+        up: &str,
+        sync: SyncMode,
+        metrics: &NodeMetrics,
+    ) -> StreamManager {
+        let reg = FilterRegistry::with_builtins();
+        StreamManager::new(def(endpoints, up, sync), &routes(), &reg, 3, metrics).unwrap()
+    }
+
+    fn manager(endpoints: Vec<Rank>, up: &str, sync: SyncMode) -> StreamManager {
+        manager_in(endpoints, up, sync, &NodeMetrics::new())
+    }
+
+    /// Transforms each released wave, as the node loop does.
+    fn transformed(m: &mut StreamManager, waves: Vec<Vec<Packet>>) -> Vec<Packet> {
+        waves
+            .into_iter()
+            .flat_map(|w| m.transform_wave(w).unwrap())
+            .collect()
+    }
+
+    /// An upstream packet through sync and transform.
+    fn up_transformed(m: &mut StreamManager, child: usize, p: Packet, now: f64) -> Vec<Packet> {
+        let waves = m.up(child, p, now).unwrap();
+        transformed(m, waves)
+    }
+
     fn fpkt(v: f32) -> Packet {
         PacketBuilder::new(5, 1).push(v).build()
     }
 
     #[test]
     fn aggregates_complete_waves() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![10, 12, 13], "f_max", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
+        let mut m = manager(vec![10, 12, 13], "f_max", SyncMode::WaitForAll);
         assert_eq!(m.participants(), &[0, 1, 2]);
-        assert!(m.up(0, fpkt(1.0), 0.0).unwrap().is_empty());
-        assert!(m.up(1, fpkt(5.0), 0.1).unwrap().is_empty());
-        let out = m.up(2, fpkt(3.0), 0.2).unwrap();
+        assert!(up_transformed(&mut m, 0, fpkt(1.0), 0.0).is_empty());
+        assert!(up_transformed(&mut m, 1, fpkt(5.0), 0.1).is_empty());
+        let out = up_transformed(&mut m, 2, fpkt(3.0), 0.2);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0).unwrap().as_f32(), Some(5.0));
         assert_eq!(out[0].stream_id(), 5);
@@ -380,49 +330,29 @@ mod tests {
 
     #[test]
     fn only_participating_children_count() {
-        let reg = FilterRegistry::with_builtins();
         // Endpoints only under children 0 and 2.
-        let mut m = StreamManager::new(
-            def(vec![11, 14], "f_sum", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
+        let mut m = manager(vec![11, 14], "f_sum", SyncMode::WaitForAll);
         assert_eq!(m.participants(), &[0, 2]);
-        assert!(m.up(0, fpkt(1.0), 0.0).unwrap().is_empty());
+        assert!(up_transformed(&mut m, 0, fpkt(1.0), 0.0).is_empty());
         // Wave completes with just the two participants.
-        let out = m.up(2, fpkt(2.0), 0.1).unwrap();
+        let out = up_transformed(&mut m, 2, fpkt(2.0), 0.1);
         assert_eq!(out[0].get(0).unwrap().as_f32(), Some(3.0));
     }
 
     #[test]
     fn packet_from_non_participant_is_protocol_error() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![12], "f_max", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
+        let mut m = manager(vec![12], "f_max", SyncMode::WaitForAll);
         assert!(m.up(0, fpkt(1.0), 0.0).is_err());
     }
 
     #[test]
     fn timeout_streams_release_partial_waves_via_poll() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![10, 12, 13], "f_sum", SyncMode::TimeOut(1.0)),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
-        assert!(m.up(0, fpkt(2.0), 0.0).unwrap().is_empty());
+        let mut m = manager(vec![10, 12, 13], "f_sum", SyncMode::TimeOut(1.0));
+        assert!(up_transformed(&mut m, 0, fpkt(2.0), 0.0).is_empty());
         assert_eq!(m.deadline(), Some(1.0));
-        assert!(m.poll(0.5).unwrap().is_empty());
-        let out = m.poll(1.0).unwrap();
+        assert!(m.poll(0.5).is_empty());
+        let waves = m.poll(1.0);
+        let out = transformed(&mut m, waves);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0).unwrap().as_f32(), Some(2.0));
         assert_eq!(m.deadline(), None);
@@ -430,14 +360,7 @@ mod tests {
 
     #[test]
     fn down_applies_downstream_filter() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![10], "null", SyncMode::DoNotWait),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
+        let mut m = manager(vec![10], "null", SyncMode::DoNotWait);
         let out = m.down(fpkt(9.0)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0).unwrap().as_f32(), Some(9.0));
@@ -451,6 +374,7 @@ mod tests {
             &routes(),
             &reg,
             0,
+            &NodeMetrics::new(),
         )
         .err()
         .expect("unknown filter");
@@ -459,19 +383,11 @@ mod tests {
 
     #[test]
     fn metrics_record_packets_and_sync_delay() {
-        let reg = FilterRegistry::with_builtins();
         let metrics = NodeMetrics::new();
-        let mut m = StreamManager::with_metrics(
-            def(vec![10, 12, 13], "f_sum", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-            &metrics,
-        )
-        .unwrap();
-        assert!(m.up(0, fpkt(1.0), 0.0).unwrap().is_empty());
-        assert!(m.up(1, fpkt(2.0), 0.010).unwrap().is_empty());
-        let out = m.up(2, fpkt(3.0), 0.025).unwrap();
+        let mut m = manager_in(vec![10, 12, 13], "f_sum", SyncMode::WaitForAll, &metrics);
+        assert!(up_transformed(&mut m, 0, fpkt(1.0), 0.0).is_empty());
+        assert!(up_transformed(&mut m, 1, fpkt(2.0), 0.010).is_empty());
+        let out = up_transformed(&mut m, 2, fpkt(3.0), 0.025);
         assert_eq!(out.len(), 1);
         m.down(fpkt(9.0)).unwrap();
         let counters = metrics.stream_counters(5);
@@ -488,69 +404,49 @@ mod tests {
 
     #[test]
     fn prune_completes_wait_for_all_wave_with_survivors() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![10, 12, 13], "f_sum", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
+        let mut m = manager(vec![10, 12, 13], "f_sum", SyncMode::WaitForAll);
         // Two of three participants have reported; the wave is stuck
         // waiting on child 1 (serving rank 12).
-        assert!(m.up(0, fpkt(1.0), 0.0).unwrap().is_empty());
-        assert!(m.up(2, fpkt(2.0), 0.1).unwrap().is_empty());
+        assert!(up_transformed(&mut m, 0, fpkt(1.0), 0.0).is_empty());
+        assert!(up_transformed(&mut m, 2, fpkt(2.0), 0.1).is_empty());
         // Rank 12 dies: the wave must complete from the survivors.
-        let (out, empty) = m.prune(&[12], 0.2).unwrap();
+        let (waves, empty) = m.prune(&[12], 0.2);
+        let out = transformed(&mut m, waves);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0).unwrap().as_f32(), Some(3.0));
         assert!(!empty);
         assert_eq!(m.live_endpoints(), &[10, 13]);
         // Subsequent waves need only the two survivors.
-        assert!(m.up(0, fpkt(5.0), 0.3).unwrap().is_empty());
-        let out = m.up(2, fpkt(7.0), 0.4).unwrap();
+        assert!(up_transformed(&mut m, 0, fpkt(5.0), 0.3).is_empty());
+        let out = up_transformed(&mut m, 2, fpkt(7.0), 0.4);
         assert_eq!(out[0].get(0).unwrap().as_f32(), Some(12.0));
     }
 
     #[test]
     fn prune_partial_slot_keeps_slot_active() {
-        let reg = FilterRegistry::with_builtins();
         // Child 0 serves both 10 and 11; losing 11 alone must not
         // deactivate the slot.
-        let mut m = StreamManager::new(
-            def(vec![10, 11, 12], "f_sum", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
-        assert!(m.up(1, fpkt(4.0), 0.0).unwrap().is_empty());
-        let (out, empty) = m.prune(&[11], 0.1).unwrap();
-        assert!(out.is_empty());
+        let mut m = manager(vec![10, 11, 12], "f_sum", SyncMode::WaitForAll);
+        assert!(up_transformed(&mut m, 1, fpkt(4.0), 0.0).is_empty());
+        let (waves, empty) = m.prune(&[11], 0.1);
+        assert!(waves.is_empty());
         assert!(!empty);
         // Child 0 still participates (rank 10 lives there); once it
         // reports, the wave held since before the prune completes.
-        let waves = m.up(0, fpkt(1.0), 0.2).unwrap();
-        assert_eq!(waves.len(), 1);
-        assert_eq!(waves[0].get(0).unwrap().as_f32(), Some(5.0));
+        let out = up_transformed(&mut m, 0, fpkt(1.0), 0.2);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].get(0).unwrap().as_f32(), Some(5.0));
     }
 
     #[test]
     fn live_route_shrinks_with_pruned_children() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![10, 11, 12, 13], "f_sum", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
+        let mut m = manager(vec![10, 11, 12, 13], "f_sum", SyncMode::WaitForAll);
         assert_eq!(m.live_route(), &[0, 1, 2]);
         // Losing 11 alone keeps child 0 on the route (10 survives).
-        m.prune(&[11], 0.0).unwrap();
+        m.prune(&[11], 0.0);
         assert_eq!(m.live_route(), &[0, 1, 2]);
         // Losing 12 empties child 1's targets: it leaves the route.
-        m.prune(&[12], 0.1).unwrap();
+        m.prune(&[12], 0.1);
         assert_eq!(m.live_route(), &[0, 2]);
         // Participants (sync slots) are unchanged by pruning.
         assert_eq!(m.participants(), &[0, 1, 2]);
@@ -558,51 +454,30 @@ mod tests {
 
     #[test]
     fn prune_to_empty_reports_dead_stream() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![10, 12], "f_sum", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
-        let (_, empty) = m.prune(&[10], 0.0).unwrap();
+        let mut m = manager(vec![10, 12], "f_sum", SyncMode::WaitForAll);
+        let (_, empty) = m.prune(&[10], 0.0);
         assert!(!empty);
-        let (_, empty) = m.prune(&[12], 0.1).unwrap();
+        let (_, empty) = m.prune(&[12], 0.1);
         assert!(empty);
         assert!(m.live_endpoints().is_empty());
     }
 
     #[test]
     fn sync_half_releases_untransformed_waves() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![10, 12], "f_sum", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
-        assert!(m.up_sync(0, fpkt(1.0), 0.0).unwrap().is_empty());
-        let waves = m.up_sync(1, fpkt(2.0), 0.1).unwrap();
+        let mut m = manager(vec![10, 12], "f_sum", SyncMode::WaitForAll);
+        assert!(m.up(0, fpkt(1.0), 0.0).unwrap().is_empty());
+        let waves = m.up(1, fpkt(2.0), 0.1).unwrap();
         // One wave of two raw packets — the sum filter has not run.
         assert_eq!(waves.len(), 1);
         assert_eq!(waves[0].len(), 2);
-        let out = m.transform_waves(waves).unwrap();
+        let out = transformed(&mut m, waves);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0).unwrap().as_f32(), Some(3.0));
     }
 
     #[test]
     fn a_failing_wave_fails_alone() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![12], "f_sum", SyncMode::DoNotWait),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
+        let mut m = manager(vec![12], "f_sum", SyncMode::DoNotWait);
         let bad = PacketBuilder::new(5, 1).push("not a float").build();
         assert!(m.transform_wave(vec![bad]).is_err());
         // The filter instance survives the error: the next wave sums.
@@ -613,43 +488,27 @@ mod tests {
 
     #[test]
     fn null_streams_are_identified_for_the_bypass() {
-        let reg = FilterRegistry::with_builtins();
-        let m = StreamManager::new(
-            def(vec![12], "null", SyncMode::DoNotWait),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
+        let m = manager(vec![12], "null", SyncMode::DoNotWait);
         assert!(m.up_filter_is_null());
     }
 
     #[test]
     fn prune_sync_returns_raw_waves() {
-        let reg = FilterRegistry::with_builtins();
-        let mut m = StreamManager::new(
-            def(vec![10, 12], "f_sum", SyncMode::WaitForAll),
-            &routes(),
-            &reg,
-            3,
-        )
-        .unwrap();
-        assert!(m.up_sync(0, fpkt(1.0), 0.0).unwrap().is_empty());
-        let (waves, empty) = m.prune_sync(&[12], 0.1);
+        let mut m = manager(vec![10, 12], "f_sum", SyncMode::WaitForAll);
+        assert!(m.up(0, fpkt(1.0), 0.0).unwrap().is_empty());
+        let (waves, empty) = m.prune(&[12], 0.1);
         assert_eq!(waves.len(), 1);
         assert!(!empty);
-        let out = m.transform_waves(waves).unwrap();
+        let out = transformed(&mut m, waves);
         assert_eq!(out[0].get(0).unwrap().as_f32(), Some(1.0));
     }
 
     #[test]
     fn filter_state_is_private_per_manager() {
-        let reg = FilterRegistry::with_builtins();
-        let d = def(vec![12], "f_sum", SyncMode::DoNotWait);
-        let mut a = StreamManager::new(d.clone(), &routes(), &reg, 0).unwrap();
-        let mut b = StreamManager::new(d, &routes(), &reg, 0).unwrap();
-        let oa = a.up(1, fpkt(1.0), 0.0).unwrap();
-        let ob = b.up(1, fpkt(1.0), 0.0).unwrap();
+        let mut a = manager(vec![12], "f_sum", SyncMode::DoNotWait);
+        let mut b = manager(vec![12], "f_sum", SyncMode::DoNotWait);
+        let oa = up_transformed(&mut a, 1, fpkt(1.0), 0.0);
+        let ob = up_transformed(&mut b, 1, fpkt(1.0), 0.0);
         assert_eq!(oa, ob);
     }
 }

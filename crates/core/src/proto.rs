@@ -14,7 +14,7 @@ use mrnet_packet::{
     append_to_batch, decode_batch_lazy_with, decode_packet_from, encode_batch_into,
     encode_packet_into, encoded_batch_len,
     trace::{decode_trailer_from, encode_trailer_into},
-    BatchPolicy, DecodeLimits, Packet, PacketBuilder, Rank, StreamId, Value,
+    DecodeLimits, Packet, PacketBuilder, Rank, StreamId, Value,
 };
 
 use crate::error::{MrnetError, Result};
@@ -125,11 +125,12 @@ pub fn start_data_frame(packet: &Packet) -> BytesMut {
 }
 
 /// Appends `packet` to a frame from [`start_data_frame`], unless the
-/// frame would then exceed [`BatchPolicy::default`]'s packet or byte
-/// cap. Returns whether it did.
+/// frame would then exceed the batch caps,
+/// [`mrnet_packet::MAX_BATCH_PACKETS`] and
+/// [`mrnet_packet::MAX_BATCH_BYTES`]. Returns whether it did.
 pub fn append_to_data_frame(frame: &mut BytesMut, packet: &Packet) -> bool {
     debug_assert_eq!(frame.first(), Some(&FRAME_DATA));
-    append_to_batch(frame, 1, packet, &BatchPolicy::default())
+    append_to_batch(frame, 1, packet)
 }
 
 /// Encodes a batch plus trace-envelope trailers. With no envelopes

@@ -16,7 +16,7 @@ use mrnet::introspect::{encode_request, METRICS_STREAM, TRACE_REPORT};
 use mrnet::obs::tracectx::TraceEnvelope;
 use mrnet::proto::{decode_frame, encode_data_frame, encode_traced_data_frame, Control, Frame};
 use mrnet::{Backend, FilterRegistry, Packet, PacketBuilder, Rank, StreamId, SyncMode, Value};
-use mrnet_packet::BatchPolicy;
+use mrnet_packet::{MAX_BATCH_BYTES, MAX_BATCH_PACKETS};
 use mrnet_transport::chan::{Receiver, Sender};
 use mrnet_transport::{Connection, Listener, LocalConnection, LocalFabric, SharedConnection};
 
@@ -66,7 +66,6 @@ fn rig(n: usize) -> Rig {
         Some(Arc::new(up)),
         children.clone(),
         None,
-        BatchPolicy::default(),
         None,
         inbox,
     );
@@ -193,11 +192,10 @@ fn a_burst_reaches_the_loop_in_capped_frames() {
         send(&rig.backends[0], v);
     }
     let queued = peek(&rig);
-    let cap = BatchPolicy::default();
-    assert_eq!(queued.len(), (N as usize).div_ceil(cap.max_packets));
+    assert_eq!(queued.len(), (N as usize).div_ceil(MAX_BATCH_PACKETS));
     for q in &queued {
         assert!(q.open && q.child == 0);
-        assert!(q.packets.len() <= cap.max_packets && q.len <= cap.max_bytes);
+        assert!(q.packets.len() <= MAX_BATCH_PACKETS && q.len <= MAX_BATCH_BYTES);
     }
     let stats = rig.children[0].stats();
     assert_eq!(stats.frames_recv - before.frames_recv, queued.len() as u64);
@@ -317,10 +315,8 @@ fn interleaved_back_ends_never_share_a_frame() {
 /// (d) A back-end that drops right after a burst: the loop forwards
 /// every packet of the burst before it reports the back-end failed.
 ///
-/// Here the loop runs while the back-end sends. Queued before `run`,
-/// the burst would share a batch with the stream's announcement, whose
-/// failed send to the dropped back-end declares it dead ahead of its
-/// queued frames.
+/// Here the loop runs while the back-end sends; the next test queues
+/// the same burst before `run`.
 #[test]
 fn a_burst_arrives_before_its_senders_failure() {
     const N: i32 = 100;
@@ -346,6 +342,39 @@ fn a_burst_arrives_before_its_senders_failure() {
     node.join().unwrap();
 
     let up = upstream(&parent);
+    let failed_at = up
+        .iter()
+        .position(|m| matches!(m, Err(Control::RankFailed { rank: r, .. }) if *r == rank(0)))
+        .expect("a failure report upstream");
+    let expected: Vec<_> = (0..N).map(|v| (rank(0), v)).collect();
+    assert_eq!(values(&up[..failed_at]), expected);
+    assert!(values(&up[failed_at..]).is_empty());
+}
+
+/// (e) Death in frame order: the burst and the back-end's drop are
+/// queued before `run`, in one batch with two stream announcements
+/// whose sends to the dropped back-end fail. A failed send does not
+/// declare the back-end dead; its `ChildClosed`, queued after the
+/// burst, does. So every packet of the burst still reaches the parent
+/// ahead of the failure report.
+#[test]
+fn a_queued_burst_arrives_before_its_senders_failure() {
+    const N: i32 = 100;
+    let mut rig = rig(2);
+    for v in 0..N {
+        send(&rig.backends[0], v);
+    }
+    let stream_b = Control::NewStream {
+        stream_id: SID + 1,
+        endpoints: vec![rank(0), rank(1)],
+        up_filter: "null".into(),
+        down_filter: "null".into(),
+        sync: SyncMode::DoNotWait,
+    };
+    rig.parent.send(stream_b.to_frame()).unwrap();
+    drop(rig.backends.remove(0));
+
+    let up = run(rig);
     let failed_at = up
         .iter()
         .position(|m| matches!(m, Err(Control::RankFailed { rank: r, .. }) if *r == rank(0)))

@@ -4,7 +4,6 @@
 use std::time::Duration;
 
 use mrnet::{launch_local, Backend, MrnetError, NetworkBuilder, SyncMode, Value, WireTransport};
-use mrnet_packet::BatchPolicy;
 use mrnet_topology::{generator, HostPool};
 
 fn pool() -> HostPool {
@@ -433,34 +432,6 @@ fn tcp_transport_end_to_end() {
     });
     let result = stream.recv_timeout(TIMEOUT).unwrap();
     assert_eq!(result.get(0).unwrap().as_f64(), Some(10.0));
-    net.shutdown();
-}
-
-#[test]
-fn unbatched_policy_still_correct() {
-    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
-    let dep = NetworkBuilder::new(topo)
-        .batch_policy(BatchPolicy::unbatched())
-        .launch()
-        .unwrap();
-    let net = dep.network.clone();
-    let comm = net.broadcast_communicator();
-    let sum = net.registry().id_of("d_sum").unwrap();
-    let stream = net.new_stream(&comm, sum, SyncMode::WaitForAll).unwrap();
-    stream.send(0, "%d", vec![Value::Int32(0)]).unwrap();
-    drive_backends(dep.backends, |be| {
-        let (_, sid) = be.recv().unwrap();
-        be.send(sid, 0, "%d", vec![Value::Int32(3)]).unwrap();
-    });
-    assert_eq!(
-        stream
-            .recv_timeout(TIMEOUT)
-            .unwrap()
-            .get(0)
-            .unwrap()
-            .as_i32(),
-        Some(12)
-    );
     net.shutdown();
 }
 

@@ -14,7 +14,6 @@ use mrnet::{
     Delivery, FilterRegistry, MrnetError, Packet, PacketBuilder, Rank, StreamDef, StreamId,
     SyncMode, TraceEnvelope, Value,
 };
-use mrnet_packet::BatchPolicy;
 use mrnet_transport::chan::Sender;
 use mrnet_transport::{Connection, LocalConnection, SharedConnection};
 
@@ -57,7 +56,6 @@ fn root_loop(
         None,
         near,
         Some(delivery.clone()),
-        BatchPolicy::default(),
         None,
         inbox,
     );

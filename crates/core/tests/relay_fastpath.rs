@@ -10,7 +10,7 @@ use mrnet::{
     launch_local, FilterRegistry, MetricsSection, MrnetError, NetworkSnapshot, Packet,
     PacketBuilder, StreamDef, SyncMode, Value,
 };
-use mrnet_packet::{encode_packet, BatchPolicy};
+use mrnet_packet::encode_packet;
 use mrnet_topology::{generator, HostPool};
 use mrnet_transport::{Connection, LocalConnection, SharedConnection};
 
@@ -162,7 +162,6 @@ fn relayed_frame_reaches_the_root_byte_identical() {
         Some(Arc::new(up_near) as SharedConnection),
         vec![Arc::new(down_near) as SharedConnection],
         None,
-        BatchPolicy::default(),
         None,
         NodeLoop::inbox(),
     );

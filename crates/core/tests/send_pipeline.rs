@@ -16,7 +16,6 @@ use mrnet::{
     launch_local, FilterRegistry, MrnetError, PacketBuilder, Rank, StreamDef, StreamId, SyncMode,
     Value,
 };
-use mrnet_packet::BatchPolicy;
 use mrnet_topology::{generator, HostPool};
 use mrnet_transport::chan::Sender;
 use mrnet_transport::{Connection, LocalConnection, SharedConnection};
@@ -118,7 +117,6 @@ fn root_loop(n: usize) -> (NodeLoop, Sender<Inbound>, Vec<LocalConnection>) {
         None,
         near,
         None,
-        BatchPolicy::default(),
         None,
         inbox,
     );

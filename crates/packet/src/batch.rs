@@ -7,7 +7,7 @@
 //! first be unbatched into individual packets."
 //!
 //! [`Batcher`] accumulates packets headed for one neighbor and reports
-//! when the batch should be flushed according to a [`BatchPolicy`];
+//! when the batch reaches [`MAX_BATCH_PACKETS`] or [`MAX_BATCH_BYTES`];
 //! [`encode_batch`]/[`decode_batch`] are the wire form.
 
 use crate::bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -15,34 +15,12 @@ use crate::codec::{decode_packet_from, encode_packet_into, validate_packet_at, D
 use crate::error::{PacketError, Result};
 use crate::packet::Packet;
 
-/// When to flush an accumulating packet buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPolicy {
-    /// Flush once the batch holds this many packets.
-    pub max_packets: usize,
-    /// Flush once the batch's encoded size reaches this many bytes.
-    pub max_bytes: usize,
-}
+/// A packet buffer is flushed once it holds this many packets.
+pub const MAX_BATCH_PACKETS: usize = 64;
 
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            max_packets: 64,
-            max_bytes: 32 * 1024,
-        }
-    }
-}
-
-impl BatchPolicy {
-    /// A policy that batches nothing: every packet flushes immediately.
-    /// Used by the batching ablation experiment.
-    pub fn unbatched() -> BatchPolicy {
-        BatchPolicy {
-            max_packets: 1,
-            max_bytes: 0,
-        }
-    }
-}
+/// A packet buffer is flushed once its encoded size reaches this many
+/// bytes.
+pub const MAX_BATCH_BYTES: usize = 32 * 1024;
 
 /// Accumulates packets destined for the same neighboring process.
 ///
@@ -50,19 +28,14 @@ impl BatchPolicy {
 /// so batching adds no payload copies.
 #[derive(Debug, Default)]
 pub struct Batcher {
-    policy: BatchPolicy,
     pending: Vec<Packet>,
     pending_bytes: usize,
 }
 
 impl Batcher {
-    /// Creates a batcher with the given flush policy.
-    pub fn new(policy: BatchPolicy) -> Batcher {
-        Batcher {
-            policy,
-            pending: Vec::new(),
-            pending_bytes: 0,
-        }
+    /// Creates an empty batcher.
+    pub fn new() -> Batcher {
+        Batcher::default()
     }
 
     /// Adds a packet to the pending batch.
@@ -71,9 +44,10 @@ impl Batcher {
         self.pending.push(packet);
     }
 
-    /// True if the policy says the pending batch should be sent now.
+    /// True if the pending batch has reached a cap and should be sent
+    /// now.
     pub fn should_flush(&self) -> bool {
-        self.pending.len() >= self.policy.max_packets || self.pending_bytes >= self.policy.max_bytes
+        self.pending.len() >= MAX_BATCH_PACKETS || self.pending_bytes >= MAX_BATCH_BYTES
     }
 
     /// Number of packets currently pending.
@@ -99,16 +73,6 @@ impl Batcher {
     pub fn pending_matches(&self, packets: &[Packet]) -> bool {
         self.pending.len() == packets.len()
             && self.pending.iter().zip(packets).all(|(a, b)| a.ptr_eq(b))
-    }
-
-    /// Drains and encodes the pending packets as one wire batch, or
-    /// `None` if nothing is pending.
-    pub fn flush_encoded(&mut self) -> Option<Bytes> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let packets = self.drain();
-        Some(encode_batch(&packets))
     }
 }
 
@@ -138,18 +102,13 @@ pub fn encode_batch_into(packets: &[Packet], buf: &mut BytesMut) {
 
 /// Appends `packet` to the packet buffer that [`encode_batch_into`]
 /// wrote into `buf` from offset `start`, and counts it there, unless
-/// the buffer would then hold more than `policy.max_packets` packets or
-/// `buf` more than `policy.max_bytes` bytes. Returns whether it did.
-pub fn append_to_batch(
-    buf: &mut BytesMut,
-    start: usize,
-    packet: &Packet,
-    policy: &BatchPolicy,
-) -> bool {
+/// the buffer would then hold more than [`MAX_BATCH_PACKETS`] packets
+/// or `buf` more than [`MAX_BATCH_BYTES`] bytes. Returns whether it did.
+pub fn append_to_batch(buf: &mut BytesMut, start: usize, packet: &Packet) -> bool {
     let count_at = start..start + 4;
     let count = u32::from_le_bytes(buf[count_at.clone()].try_into().expect("4 bytes"));
-    if count as usize >= policy.max_packets
-        || buf.len() + packet.encoded_size_hint() > policy.max_bytes
+    if count as usize >= MAX_BATCH_PACKETS
+        || buf.len() + packet.encoded_size_hint() > MAX_BATCH_BYTES
     {
         return false;
     }
@@ -235,31 +194,37 @@ mod tests {
         assert_eq!(decoded, packets);
     }
 
+    /// A packet whose encoding takes `bytes` bytes.
+    fn sized(bytes: usize) -> Packet {
+        let small = PacketBuilder::new(0, 0).push(Vec::<u8>::new()).build();
+        let filler = bytes - small.encoded_size_hint();
+        PacketBuilder::new(0, 0).push(vec![0u8; filler]).build()
+    }
+
     #[test]
     fn appended_batch_decodes_and_stops_at_the_caps() {
-        let policy = BatchPolicy {
-            max_packets: 3,
-            max_bytes: 1024,
-        };
-        let packets: Vec<_> = (0..4).map(pkt).collect();
+        let packets: Vec<_> = (0..=MAX_BATCH_PACKETS as i32).map(pkt).collect();
         let mut buf = BytesMut::new();
         buf.put_u8(0xee); // a header before the batch
         encode_batch_into(&packets[..1], &mut buf);
-        assert!(append_to_batch(&mut buf, 1, &packets[1], &policy));
-        assert!(append_to_batch(&mut buf, 1, &packets[2], &policy));
-        assert!(!append_to_batch(&mut buf, 1, &packets[3], &policy));
+        for p in &packets[1..MAX_BATCH_PACKETS] {
+            assert!(append_to_batch(&mut buf, 1, p));
+        }
+        assert!(!append_to_batch(&mut buf, 1, &packets[MAX_BATCH_PACKETS]));
         let bytes = buf.freeze();
         assert_eq!(bytes[0], 0xee);
-        assert_eq!(bytes.slice(1..), encode_batch(&packets[..3]));
+        assert_eq!(
+            bytes.slice(1..),
+            encode_batch(&packets[..MAX_BATCH_PACKETS])
+        );
 
         let mut buf = BytesMut::new();
         encode_batch_into(&packets[..1], &mut buf);
-        let tight = BatchPolicy {
-            max_packets: 64,
-            max_bytes: buf.len() + packets[1].encoded_size_hint() - 1,
-        };
-        assert!(!append_to_batch(&mut buf, 0, &packets[1], &tight));
-        assert_eq!(buf.freeze(), encode_batch(&packets[..1]));
+        let room = MAX_BATCH_BYTES - buf.len();
+        assert!(!append_to_batch(&mut buf, 0, &sized(room + 1)));
+        assert_eq!(buf.clone().freeze(), encode_batch(&packets[..1]));
+        assert!(append_to_batch(&mut buf, 0, &sized(room)));
+        assert_eq!(buf.len(), MAX_BATCH_BYTES);
     }
 
     #[test]
@@ -294,54 +259,32 @@ mod tests {
 
     #[test]
     fn batcher_flushes_on_packet_count() {
-        let mut b = Batcher::new(BatchPolicy {
-            max_packets: 3,
-            max_bytes: usize::MAX,
-        });
-        b.push(pkt(1));
-        b.push(pkt(2));
+        let mut b = Batcher::new();
+        for n in 1..MAX_BATCH_PACKETS as i32 {
+            b.push(pkt(n));
+        }
         assert!(!b.should_flush());
-        b.push(pkt(3));
+        b.push(pkt(0));
         assert!(b.should_flush());
-        assert_eq!(b.drain().len(), 3);
+        assert_eq!(b.drain().len(), MAX_BATCH_PACKETS);
         assert!(b.is_empty());
         assert!(!b.should_flush());
     }
 
     #[test]
     fn batcher_flushes_on_byte_size() {
-        let mut b = Batcher::new(BatchPolicy {
-            max_packets: usize::MAX,
-            max_bytes: 64,
-        });
-        b.push(PacketBuilder::new(0, 0).push(vec![0u8; 128]).build());
-        assert!(b.should_flush());
-    }
-
-    #[test]
-    fn unbatched_policy_flushes_every_packet() {
-        let mut b = Batcher::new(BatchPolicy::unbatched());
+        let mut b = Batcher::new();
+        b.push(sized(MAX_BATCH_BYTES - 1));
+        assert!(!b.should_flush());
         b.push(pkt(1));
         assert!(b.should_flush());
-    }
-
-    #[test]
-    fn flush_encoded_round_trips() {
-        let mut b = Batcher::new(BatchPolicy::default());
-        assert!(b.flush_encoded().is_none());
-        b.push(pkt(7));
-        b.push(pkt(8));
-        let bytes = b.flush_encoded().unwrap();
-        let packets = decode_batch(bytes).unwrap();
-        assert_eq!(packets, vec![pkt(7), pkt(8)]);
-        assert!(b.is_empty());
     }
 
     #[test]
     fn pending_matches_compares_handles() {
         let a = pkt(1);
         let b = pkt(1); // equal contents, different buffers
-        let mut batcher = Batcher::new(BatchPolicy::default());
+        let mut batcher = Batcher::new();
         batcher.push(a.clone());
         assert!(batcher.pending_matches(std::slice::from_ref(&a)));
         assert!(!batcher.pending_matches(&[b])); // handle identity, not equality
@@ -408,7 +351,7 @@ mod tests {
     fn batching_shares_payloads() {
         // Batcher holds handles, not copies.
         let p = pkt(1);
-        let mut b = Batcher::new(BatchPolicy::default());
+        let mut b = Batcher::new();
         b.push(p.clone());
         let drained = b.drain();
         assert!(drained[0].ptr_eq(&p));

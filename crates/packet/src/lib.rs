@@ -35,7 +35,8 @@ mod value;
 
 pub use batch::{
     append_to_batch, decode_batch, decode_batch_lazy, decode_batch_lazy_with, decode_batch_with,
-    encode_batch, encode_batch_into, encoded_batch_len, BatchPolicy, Batcher,
+    encode_batch, encode_batch_into, encoded_batch_len, Batcher, MAX_BATCH_BYTES,
+    MAX_BATCH_PACKETS,
 };
 pub use codec::{
     decode_packet, decode_packet_from, encode_packet, encode_packet_into, parse_decode_max,

@@ -17,44 +17,9 @@
 //! the pipelined inter-operation interval used to compare Figure 4's
 //! balanced and unbalanced topologies.
 
+use mrnet_sim::LogGpParams;
+
 use crate::spec::{NodeId, Topology};
-
-/// LogP machine parameters, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogP {
-    /// Wire latency `L` for a small message.
-    pub latency: f64,
-    /// Per-send / per-receive processor overhead `o`.
-    pub overhead: f64,
-    /// Minimum gap `g` between successive sends from one process.
-    pub gap: f64,
-    /// Per-byte gap `G` for long messages (the LogGP extension); used
-    /// when message sizes are supplied.
-    pub gap_per_byte: f64,
-}
-
-impl LogP {
-    /// Unit parameters (L = o = g = 1, G = 0) for symbolic checks such
-    /// as verifying the paper's `8g + 4o + 2L` expression.
-    pub fn unit() -> LogP {
-        LogP {
-            latency: 1.0,
-            overhead: 1.0,
-            gap: 1.0,
-            gap_per_byte: 0.0,
-        }
-    }
-
-    /// Cost of transferring one `bytes`-sized message (LogGP): the
-    /// sender is busy `o`, the wire adds `L + (bytes-1)·G`, the
-    /// receiver adds `o`.
-    pub fn message_time(&self, bytes: usize) -> f64 {
-        self.overhead
-            + self.latency
-            + self.gap_per_byte * bytes.saturating_sub(1) as f64
-            + self.overhead
-    }
-}
 
 /// Structural statistics of a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +53,7 @@ impl TreeStats {
 }
 
 /// Per-node completion times for one collective operation.
-fn downstream_arrival_times(topology: &Topology, params: &LogP) -> Vec<f64> {
+fn downstream_arrival_times(topology: &Topology, params: &LogGpParams) -> Vec<f64> {
     // arrival[i] = time node i has fully received the broadcast message
     // (root at t=0 by definition).
     let mut arrival = vec![0.0f64; topology.len()];
@@ -105,7 +70,7 @@ fn downstream_arrival_times(topology: &Topology, params: &LogP) -> Vec<f64> {
 
 /// Latency of a single broadcast from the front-end to the last
 /// back-end, under the paper's LogP accounting.
-pub fn broadcast_latency(topology: &Topology, params: &LogP) -> f64 {
+pub fn broadcast_latency(topology: &Topology, params: &LogGpParams) -> f64 {
     let arrival = downstream_arrival_times(topology, params);
     topology
         .backends()
@@ -120,8 +85,8 @@ pub fn broadcast_latency(topology: &Topology, params: &LogP) -> f64 {
 /// children spends `k·g` draining its inbound connections, pays `2o +
 /// L` for the last message, and cannot forward upstream until its
 /// slowest child has forwarded. All back-ends start at t = 0.
-pub fn reduction_latency(topology: &Topology, params: &LogP) -> f64 {
-    fn done(topology: &Topology, id: NodeId, params: &LogP) -> f64 {
+pub fn reduction_latency(topology: &Topology, params: &LogGpParams) -> f64 {
+    fn done(topology: &Topology, id: NodeId, params: &LogGpParams) -> f64 {
         let children = topology.children(id);
         if children.is_empty() {
             return 0.0;
@@ -137,7 +102,7 @@ pub fn reduction_latency(topology: &Topology, params: &LogP) -> f64 {
 
 /// Latency of one broadcast immediately followed by one reduction (the
 /// Figure 7b micro-benchmark's round trip).
-pub fn roundtrip_latency(topology: &Topology, params: &LogP) -> f64 {
+pub fn roundtrip_latency(topology: &Topology, params: &LogGpParams) -> f64 {
     broadcast_latency(topology, params) + reduction_latency(topology, params)
 }
 
@@ -147,14 +112,14 @@ pub fn roundtrip_latency(topology: &Topology, params: &LogP) -> f64 {
 /// Each node needs `k·g` per operation to service its `k` connections;
 /// the busiest node is the pipeline bottleneck. For Figure 4a (4-way
 /// balanced) this is `4g`; for Figure 4b's six-way root it is `6g`.
-pub fn pipeline_interval(topology: &Topology, params: &LogP) -> f64 {
+pub fn pipeline_interval(topology: &Topology, params: &LogGpParams) -> f64 {
     let max_fanout = topology.max_fanout() as f64;
     max_fanout * params.gap
 }
 
 /// Sustained throughput (operations/second) of pipelined collective
 /// operations: the reciprocal of [`pipeline_interval`].
-pub fn pipeline_throughput(topology: &Topology, params: &LogP) -> f64 {
+pub fn pipeline_throughput(topology: &Topology, params: &LogGpParams) -> f64 {
     1.0 / pipeline_interval(topology, params)
 }
 
@@ -173,7 +138,7 @@ pub struct Fig4Row {
 }
 
 /// Evaluates both Figure 4 topologies under the given parameters.
-pub fn fig4_comparison(params: &LogP) -> Fig4Row {
+pub fn fig4_comparison(params: &LogGpParams) -> Fig4Row {
     let mut pool_a = crate::hosts::HostPool::synthetic(32);
     let mut pool_b = crate::hosts::HostPool::synthetic(32);
     let balanced = crate::generator::fig4_balanced(&mut pool_a).expect("static shape");
@@ -200,11 +165,11 @@ mod tests {
     fn paper_expression_for_balanced_fig4a() {
         // 8g + 4o + 2L for the 4-ary depth-2 tree.
         let t = fig4_balanced(&mut pool()).unwrap();
-        let p = LogP {
+        let p = LogGpParams {
             latency: 13.0,
             overhead: 3.0,
             gap: 5.0,
-            gap_per_byte: 0.0,
+            big_gap: 0.0,
         };
         let expected = 8.0 * p.gap + 4.0 * p.overhead + 2.0 * p.latency;
         assert!((broadcast_latency(&t, &p) - expected).abs() < 1e-9);
@@ -215,7 +180,7 @@ mod tests {
     #[test]
     fn unbalanced_root_needs_6g() {
         let t = fig4_unbalanced(&mut pool()).unwrap();
-        let p = LogP::unit();
+        let p = LogGpParams::unit();
         assert!((pipeline_interval(&t, &p) - 6.0).abs() < 1e-9);
     }
 
@@ -225,11 +190,11 @@ mod tests {
         // broadcast operation using this topology may complete before
         // the balanced tree's broadcast" — true when g dominates L,
         // because the binomial shape amortizes send serialization.
-        let p = LogP {
+        let p = LogGpParams {
             latency: 1.0,
             overhead: 1.0,
             gap: 100.0,
-            gap_per_byte: 0.0,
+            big_gap: 0.0,
         };
         let row = fig4_comparison(&p);
         assert!(
@@ -244,7 +209,7 @@ mod tests {
 
     #[test]
     fn flat_latency_grows_linearly() {
-        let p = LogP::unit();
+        let p = LogGpParams::unit();
         let l64 = broadcast_latency(&flat(64, &mut pool()).unwrap(), &p);
         let l128 = broadcast_latency(&flat(128, &mut HostPool::synthetic(256)).unwrap(), &p);
         // Dominated by N·g serialization.
@@ -253,7 +218,7 @@ mod tests {
 
     #[test]
     fn tree_latency_grows_logarithmically() {
-        let p = LogP::unit();
+        let p = LogGpParams::unit();
         let mut pool = HostPool::synthetic(2048);
         let d2 = broadcast_latency(&balanced(8, 2, &mut pool).unwrap(), &p); // 64 BEs
         let d3 = broadcast_latency(&balanced(8, 3, &mut pool).unwrap(), &p); // 512 BEs
@@ -264,11 +229,11 @@ mod tests {
 
     #[test]
     fn reduction_mirrors_broadcast_on_symmetric_trees() {
-        let p = LogP {
+        let p = LogGpParams {
             latency: 2.0,
             overhead: 0.5,
             gap: 1.5,
-            gap_per_byte: 0.0,
+            big_gap: 0.0,
         };
         let t = balanced(4, 3, &mut HostPool::synthetic(256)).unwrap();
         let b = broadcast_latency(&t, &p);
@@ -278,7 +243,7 @@ mod tests {
 
     #[test]
     fn roundtrip_is_sum() {
-        let p = LogP::unit();
+        let p = LogGpParams::unit();
         let t = balanced(4, 2, &mut pool()).unwrap();
         assert!(
             (roundtrip_latency(&t, &p) - broadcast_latency(&t, &p) - reduction_latency(&t, &p))
@@ -289,11 +254,11 @@ mod tests {
 
     #[test]
     fn throughput_is_reciprocal_interval() {
-        let p = LogP {
+        let p = LogGpParams {
             latency: 1.0,
             overhead: 1.0,
             gap: 0.25,
-            gap_per_byte: 0.0,
+            big_gap: 0.0,
         };
         let t = balanced(8, 2, &mut pool()).unwrap();
         let thr = pipeline_throughput(&t, &p);
@@ -302,7 +267,7 @@ mod tests {
 
     #[test]
     fn flat_throughput_collapses_with_scale() {
-        let p = LogP::unit();
+        let p = LogGpParams::unit();
         let flat512 = flat(512, &mut HostPool::synthetic(600)).unwrap();
         let tree512 = balanced(8, 3, &mut HostPool::synthetic(600)).unwrap();
         assert!(pipeline_throughput(&tree512, &p) > 50.0 * pipeline_throughput(&flat512, &p));
@@ -310,14 +275,14 @@ mod tests {
 
     #[test]
     fn loggp_message_time() {
-        let p = LogP {
+        let p = LogGpParams {
             latency: 10.0,
             overhead: 1.0,
             gap: 1.0,
-            gap_per_byte: 0.5,
+            big_gap: 0.5,
         };
-        assert!((p.message_time(1) - 12.0).abs() < 1e-9);
-        assert!((p.message_time(101) - 62.0).abs() < 1e-9);
+        assert!((p.wire_time(1) - 12.0).abs() < 1e-9);
+        assert!((p.wire_time(101) - 62.0).abs() < 1e-9);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 use std::process::ExitCode;
 
 use mrnet_obs::log_error;
+use mrnet_sim::LogGpParams;
 use mrnet_topology::{
-    broadcast_latency, generator, pipeline_throughput, write_config, HostPool, LogP, Topology,
-    TreeStats,
+    broadcast_latency, generator, pipeline_throughput, write_config, HostPool, Topology, TreeStats,
 };
 
 struct Args {
@@ -141,12 +141,8 @@ fn main() -> ExitCode {
     };
     if args.stats {
         let s = TreeStats::of(&topo);
-        let logp = LogP {
-            latency: 0.000_35,
-            overhead: 0.000_15,
-            gap: 0.001_3,
-            gap_per_byte: 0.0,
-        };
+        // `G` does not enter the broadcast or pipeline formulas.
+        let logp = LogGpParams::blue_pacific();
         println!("# back-ends: {}", s.backends);
         println!("# internal processes: {}", s.internals);
         println!("# depth: {}  max fan-out: {}", s.depth, s.max_fanout);

@@ -29,7 +29,7 @@ mod spec;
 
 pub use analysis::{
     broadcast_latency, fig4_comparison, pipeline_interval, pipeline_throughput, reduction_latency,
-    roundtrip_latency, Fig4Row, LogP, TreeStats,
+    roundtrip_latency, Fig4Row, TreeStats,
 };
 pub use error::{Result, TopologyError};
 pub use hosts::{HostPool, PlacementPolicy};

@@ -2,21 +2,21 @@
 //! LogP analysis.
 
 use mrnet_sim::check::{check, vec_of};
-use mrnet_sim::SplitMix64;
+use mrnet_sim::{LogGpParams, SplitMix64};
 use mrnet_topology::{
     broadcast_latency, generator, parse_config, pipeline_interval, reduction_latency, write_config,
-    HostPool, LogP, Placement, Topology, TreeStats,
+    HostPool, Placement, Topology, TreeStats,
 };
 
 const SEED: u64 = 0x70B0_1061;
 const CASES: usize = 64;
 
-fn arb_logp(rng: &mut SplitMix64) -> LogP {
-    LogP {
+fn arb_logp(rng: &mut SplitMix64) -> LogGpParams {
+    LogGpParams {
         latency: rng.gen_range(0.01..10.0),
         overhead: rng.gen_range(0.01..10.0),
         gap: rng.gen_range(0.01..10.0),
-        gap_per_byte: 0.0,
+        big_gap: 0.0,
     }
 }
 
@@ -38,7 +38,7 @@ fn arb_tree(rng: &mut SplitMix64) -> Topology {
     }
 }
 
-fn arb_tree_and_logp(rng: &mut SplitMix64) -> (Topology, LogP) {
+fn arb_tree_and_logp(rng: &mut SplitMix64) -> (Topology, LogGpParams) {
     (arb_tree(rng), arb_logp(rng))
 }
 
@@ -110,16 +110,16 @@ fn subtree_extraction_conserves_backends() {
     });
 }
 
-fn assert_logp_latencies_positive_and_monotone((topo, p): &(Topology, LogP)) {
+fn assert_logp_latencies_positive_and_monotone((topo, p): &(Topology, LogGpParams)) {
     let b = broadcast_latency(topo, p);
     let r = reduction_latency(topo, p);
     assert!(b > 0.0 && r > 0.0);
     // Scaling every parameter up scales latency up.
-    let p2 = LogP {
+    let p2 = LogGpParams {
         latency: p.latency * 2.0,
         overhead: p.overhead * 2.0,
         gap: p.gap * 2.0,
-        gap_per_byte: 0.0,
+        big_gap: 0.0,
     };
     assert!(broadcast_latency(topo, &p2) > b);
     // Doubling all parameters exactly doubles both (the model is
@@ -131,7 +131,7 @@ fn assert_logp_latencies_positive_and_monotone((topo, p): &(Topology, LogP)) {
     assert!(r >= floor - 1e-9);
 }
 
-fn assert_pipeline_interval_bounded((topo, p): &(Topology, LogP)) {
+fn assert_pipeline_interval_bounded((topo, p): &(Topology, LogGpParams)) {
     let interval = pipeline_interval(topo, p);
     let max_fanout = topo.max_fanout() as f64;
     assert!((interval - max_fanout * p.gap).abs() < 1e-9);
@@ -209,11 +209,11 @@ fn logp_properties_hold_on_saved_uneven_binary_tree() {
     assert_eq!((topo.len(), topo.num_backends()), (37, 17));
     let case = (
         topo,
-        LogP {
+        LogGpParams {
             latency: 0.01,
             overhead: 0.01,
             gap: 0.01,
-            gap_per_byte: 0.0,
+            big_gap: 0.0,
         },
     );
     assert_logp_latencies_positive_and_monotone(&case);
@@ -229,11 +229,11 @@ fn deeper_trees_trade_latency_for_throughput() {
         |&n| {
             // For a fixed back-end count, a flat topology has minimal
             // depth but its pipeline interval dwarfs any tree's.
-            let p = LogP {
+            let p = LogGpParams {
                 latency: 1.0,
                 overhead: 1.0,
                 gap: 1.0,
-                gap_per_byte: 0.0,
+                big_gap: 0.0,
             };
             let flat = generator::flat(n, &mut HostPool::synthetic(1024)).unwrap();
             let tree = generator::balanced_for(4, n, &mut HostPool::synthetic(1024)).unwrap();

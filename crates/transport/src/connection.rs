@@ -31,9 +31,8 @@ pub struct ConnStats {
     /// frame: each vectored write carrying `b > 1` frames contributes
     /// `b - 1` (the writes it saved versus frame-at-a-time sending).
     pub frames_coalesced: u64,
-    /// Sends that found the outbound queue at capacity — blocking
-    /// sends that had to wait, plus non-blocking sends that returned
-    /// [`crate::TransportError::WouldBlock`].
+    /// Sends that found the outbound queue at capacity and had to
+    /// block until the writer made room.
     pub enqueue_stalls: u64,
     /// Frames currently queued behind the writer, sampled at snapshot
     /// time. Zero for transports without a send queue.
@@ -161,14 +160,6 @@ pub trait Connection: Send + Sync {
     /// send applies backpressure (blocks) until space frees up. Fails
     /// once the peer has hung up.
     fn send(&self, frame: Bytes) -> Result<()>;
-
-    /// Sends one frame without ever blocking: fails with
-    /// [`crate::TransportError::WouldBlock`] when the outbound buffer
-    /// is at capacity (the frame is not enqueued). Transports without
-    /// a bounded send buffer treat this as [`Connection::send`].
-    fn try_send(&self, frame: Bytes) -> Result<()> {
-        self.send(frame)
-    }
 
     /// Sends one data packet. The in-process transport hands it to the
     /// peer's sink, which may merge it into a frame still waiting

@@ -20,11 +20,6 @@ pub enum TransportError {
     /// Unlike [`TransportError::Closed`] (an orderly shutdown at a
     /// frame boundary) this carries a diagnostic reason.
     PeerGone(String),
-    /// A non-blocking send found the outbound queue full. The frame
-    /// was *not* enqueued; the caller decides whether to retry, drop,
-    /// or fall back to a blocking send. Never returned by blocking
-    /// sends and never a sign of peer loss.
-    WouldBlock,
 }
 
 impl fmt::Display for TransportError {
@@ -38,7 +33,6 @@ impl fmt::Display for TransportError {
             }
             TransportError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             TransportError::PeerGone(reason) => write!(f, "peer gone: {reason}"),
-            TransportError::WouldBlock => write!(f, "outbound queue full"),
         }
     }
 }

@@ -74,8 +74,7 @@ const INBOUND_DEPTH: usize = 1024;
 /// Environment variable overriding the outbound send-queue depth in
 /// frames (default [`SEND_QUEUE_DEPTH`]). A blocking send only stalls
 /// the caller once this many frames are queued behind the writer
-/// thread; `try_send` instead fails with
-/// [`TransportError::WouldBlock`] at that point.
+/// thread.
 pub const SEND_QUEUE_ENV: &str = "MRNET_SEND_QUEUE";
 
 /// Default outbound send-queue depth, in frames.
@@ -460,17 +459,6 @@ impl Connection for TcpConnection {
             Err(TrySendError::Full(frame)) => {
                 self.counters.note_stall();
                 self.outbound.send(frame).map_err(|_| self.death_reason())
-            }
-            Err(TrySendError::Disconnected(_)) => Err(self.death_reason()),
-        }
-    }
-
-    fn try_send(&self, frame: Bytes) -> Result<()> {
-        match self.outbound.try_send(frame) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
-                self.counters.note_stall();
-                Err(TransportError::WouldBlock)
             }
             Err(TrySendError::Disconnected(_)) => Err(self.death_reason()),
         }

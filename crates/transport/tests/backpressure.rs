@@ -1,8 +1,9 @@
 //! Send-pipeline backpressure tests: a peer that stops reading must
 //! not stall the sender's thread until the bounded outbound queue
 //! itself fills, and even then only for sends *to that peer* — sibling
-//! connections keep flowing. Exercises the overflow policy
-//! (`try_send` → `WouldBlock`) and writer-side `PeerGone` detection.
+//! connections keep flowing. Exercises the overflow policy (a full
+//! queue blocks `send`, and the stall is counted) and writer-side
+//! `PeerGone` detection.
 //!
 //! The queue depth is pinned small via `MRNET_SEND_QUEUE` so the tests
 //! fill it quickly. The variable is read per-connection at
@@ -15,9 +16,10 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mrnet_packet::bytes::Bytes;
-use mrnet_transport::{
-    Connection, Listener, TcpConnection, TcpTransportListener, TransportError, SEND_QUEUE_ENV,
-};
+use mrnet_transport::{Connection, Listener, TcpConnection, TcpTransportListener, SEND_QUEUE_ENV};
+
+/// The send-queue depth the tests pin through `MRNET_SEND_QUEUE`.
+const DEPTH: u64 = 8;
 
 fn env_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -37,25 +39,25 @@ fn sender_with_silent_peer() -> (TcpConnection, TcpStream) {
 }
 
 /// Fills the silent peer's pipeline: the kernel socket buffers plus
-/// the writer's bounded queue. Returns once `try_send` has reported
-/// `WouldBlock` three times in a row, 20 ms apart: right after the
-/// first refusal, bytes still moving from the send buffer into the
-/// peer's receive buffer can let the writer free a queue slot.
+/// the writer's bounded queue. Sends only while the queue is below
+/// [`DEPTH`], so no send blocks: this thread is the only sender and the
+/// writer only drains. Returns once the queue has stayed full three
+/// times in a row, 20 ms apart: right after it first fills, bytes still
+/// moving from the send buffer into the peer's receive buffer can let
+/// the writer free a slot.
 fn fill_pipeline(conn: &TcpConnection, frame: &Bytes) -> usize {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut queued = 0;
-    let mut refusals = 0;
-    while refusals < 3 {
-        match conn.try_send(frame.clone()) {
-            Ok(()) => {
-                queued += 1;
-                refusals = 0;
-            }
-            Err(TransportError::WouldBlock) => {
-                refusals += 1;
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => panic!("unexpected send error while filling: {e}"),
+    let mut full = 0;
+    while full < 3 {
+        if conn.stats().queue_depth < DEPTH {
+            conn.send(frame.clone())
+                .unwrap_or_else(|e| panic!("unexpected send error while filling: {e}"));
+            queued += 1;
+            full = 0;
+        } else {
+            full += 1;
+            std::thread::sleep(Duration::from_millis(20));
         }
         assert!(
             Instant::now() < deadline,
@@ -65,13 +67,12 @@ fn fill_pipeline(conn: &TcpConnection, frame: &Bytes) -> usize {
     queued
 }
 
-/// One slow child saturates only its own queue: `try_send` surfaces a
-/// typed `WouldBlock` (frame not enqueued), the stall is counted, and
+/// One slow child saturates only its own queue, which stays full, and
 /// a sibling connection keeps sending and receiving the whole time.
 #[test]
 fn slow_reader_blocks_only_its_own_connection() {
     let _guard = env_lock();
-    std::env::set_var(SEND_QUEUE_ENV, "8");
+    std::env::set_var(SEND_QUEUE_ENV, DEPTH.to_string());
     let (slow_conn, _slow_raw) = sender_with_silent_peer();
     // Sibling: a normal pair that reads promptly.
     let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
@@ -86,16 +87,10 @@ fn slow_reader_blocks_only_its_own_connection() {
     let queued = fill_pipeline(&slow_conn, &frame);
     assert!(queued > 0, "at least the queue itself must accept frames");
 
-    // The pipeline is jammed; a non-blocking send still refuses fast
-    // and typed, the frame is NOT lost from the caller's hands, and
-    // exactly that one refusal is counted as a stall.
-    let stalls_before = slow_conn.stats().enqueue_stalls;
-    assert!(matches!(
-        slow_conn.try_send(frame.clone()),
-        Err(TransportError::WouldBlock)
-    ));
-    assert_eq!(slow_conn.stats().enqueue_stalls, stalls_before + 1);
-    assert!(slow_conn.stats().queue_depth > 0);
+    // The pipeline is jammed: the queue is full, and no send stalled
+    // filling it.
+    assert_eq!(slow_conn.stats().queue_depth, DEPTH);
+    assert_eq!(slow_conn.stats().enqueue_stalls, 0);
 
     // Sibling sends complete promptly despite the jammed neighbour:
     // the writer threads are independent.
@@ -113,37 +108,50 @@ fn slow_reader_blocks_only_its_own_connection() {
         start.elapsed() < Duration::from_secs(5),
         "sibling traffic stalled behind the slow reader"
     );
+    assert_eq!(slow_conn.stats().queue_depth, DEPTH);
 }
 
-/// Once the silent peer finally reads, the jammed queue drains and
-/// every frame arrives intact and in order: backpressure delays, it
-/// never drops.
+/// A send into the jammed queue blocks, and is counted as a stall.
+/// Once the silent peer finally reads, the queue drains, the blocked
+/// send completes, and every frame arrives intact and in order:
+/// backpressure delays, it never drops.
 #[test]
 fn jammed_queue_drains_when_peer_resumes() {
     let _guard = env_lock();
-    std::env::set_var(SEND_QUEUE_ENV, "8");
+    std::env::set_var(SEND_QUEUE_ENV, DEPTH.to_string());
     let (conn, raw) = sender_with_silent_peer();
     std::env::remove_var(SEND_QUEUE_ENV);
 
     let frame = Bytes::from(vec![0xC3; 64 << 10]);
     let queued = fill_pipeline(&conn, &frame);
 
-    // Peer wakes up: wrap the raw socket in a reader and drain.
-    use std::io::Read;
-    let mut raw = raw;
-    let mut received = 0usize;
-    let mut buf = Vec::new();
-    while received < queued {
-        let mut len_buf = [0u8; 4];
-        raw.read_exact(&mut len_buf).unwrap();
-        let len = u32::from_le_bytes(len_buf) as usize;
-        buf.resize(len, 0);
-        raw.read_exact(&mut buf).unwrap();
-        assert_eq!(buf.len(), frame.len());
-        assert!(buf.iter().all(|&b| b == 0xC3));
-        received += 1;
-    }
-    assert_eq!(received, queued);
+    std::thread::scope(|s| {
+        let blocked = s.spawn(|| conn.send(frame.clone()));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while conn.stats().enqueue_stalls == 0 {
+            assert!(Instant::now() < deadline, "the send never stalled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!blocked.is_finished(), "a send into a full queue returned");
+
+        // Peer wakes up: wrap the raw socket in a reader and drain.
+        use std::io::Read;
+        let mut raw = raw;
+        let mut received = 0usize;
+        let mut buf = Vec::new();
+        while received < queued + 1 {
+            let mut len_buf = [0u8; 4];
+            raw.read_exact(&mut len_buf).unwrap();
+            let len = u32::from_le_bytes(len_buf) as usize;
+            buf.resize(len, 0);
+            raw.read_exact(&mut buf).unwrap();
+            assert_eq!(buf.len(), frame.len());
+            assert!(buf.iter().all(|&b| b == 0xC3));
+            received += 1;
+        }
+        blocked.join().unwrap().unwrap();
+    });
+    assert_eq!(conn.stats().enqueue_stalls, 1);
 }
 
 /// When the peer dies with frames still queued, a subsequent send
@@ -153,7 +161,7 @@ fn jammed_queue_drains_when_peer_resumes() {
 #[test]
 fn writer_detects_peer_gone_and_accounting_stays_honest() {
     let _guard = env_lock();
-    std::env::set_var(SEND_QUEUE_ENV, "8");
+    std::env::set_var(SEND_QUEUE_ENV, DEPTH.to_string());
     let (conn, raw) = sender_with_silent_peer();
     std::env::remove_var(SEND_QUEUE_ENV);
 

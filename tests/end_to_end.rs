@@ -9,7 +9,7 @@ use mrnet_repro::mrnet::{self, simulate, NetworkBuilder, SyncMode, Value};
 use mrnet_repro::packet::{decode_packet, encode_packet, PacketBuilder};
 use mrnet_repro::paradyn::{self, paradyn_registry, run_sampling, run_startup, Daemon};
 use mrnet_repro::sim::{LaunchParams, LogGpParams};
-use mrnet_repro::topology::{self, generator, parse_config, write_config, HostPool, LogP};
+use mrnet_repro::topology::{self, generator, parse_config, write_config, HostPool};
 
 #[test]
 fn config_text_to_live_network_to_result() {
@@ -54,25 +54,14 @@ fn analytical_model_and_simulator_agree_symbolically() {
     // single-operation broadcast latency when G = 0 and jitter = 0.
     let mut pool = HostPool::synthetic(256);
     let topo = generator::balanced(4, 2, &mut pool).unwrap();
-    let analytic = topology::broadcast_latency(
-        &topo,
-        &LogP {
-            latency: 2.0,
-            overhead: 0.5,
-            gap: 1.0,
-            gap_per_byte: 0.0,
-        },
-    );
-    let simulated = simulate::broadcast_latency(
-        &topo,
-        LogGpParams {
-            latency: 2.0,
-            overhead: 0.5,
-            gap: 1.0,
-            big_gap: 0.0,
-        },
-        1,
-    );
+    let params = LogGpParams {
+        latency: 2.0,
+        overhead: 0.5,
+        gap: 1.0,
+        big_gap: 0.0,
+    };
+    let analytic = topology::broadcast_latency(&topo, &params);
+    let simulated = simulate::broadcast_latency(&topo, params, 1);
     // The closed form charges k·g per level before the last child's
     // message; the simulator schedules sends at 0, g, 2g, … — one gap
     // less per level. Both grow identically with scale; check they are

@@ -9,7 +9,7 @@ use mrnet_repro::mrnet::simulate;
 use mrnet_repro::paradyn::model::{startup_total, LoadModel, StartupModel};
 use mrnet_repro::paradyn::skew::{direct_skew, mrnet_skew, SkewParams};
 use mrnet_repro::sim::{LaunchParams, LogGpParams};
-use mrnet_repro::topology::{fig4_comparison, generator, HostPool, LogP, Topology};
+use mrnet_repro::topology::{fig4_comparison, generator, HostPool, Topology};
 
 fn flat(n: usize) -> Topology {
     generator::flat(n, &mut HostPool::synthetic(2048)).unwrap()
@@ -21,11 +21,11 @@ fn tree(f: usize, n: usize) -> Topology {
 
 #[test]
 fn claim_fig4_balanced_broadcast_is_8g_4o_2l_with_4g_interval() {
-    let row = fig4_comparison(&LogP {
+    let row = fig4_comparison(&LogGpParams {
         latency: 7.0,
         overhead: 3.0,
         gap: 2.0,
-        gap_per_byte: 0.0,
+        big_gap: 0.0,
     });
     assert!((row.balanced_latency - (8.0 * 2.0 + 4.0 * 3.0 + 2.0 * 7.0)).abs() < 1e-9);
     assert!((row.balanced_interval - 4.0 * 2.0).abs() < 1e-9);
