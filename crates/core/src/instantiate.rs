@@ -26,7 +26,7 @@ use mrnet_filters::FilterRegistry;
 use mrnet_obs::{log_error, TraceAssembler};
 use mrnet_packet::Rank;
 use mrnet_topology::{Role, Topology};
-use mrnet_transport::chan::{bounded, unbounded, Receiver, Sender};
+use mrnet_transport::chan::{bounded, unbounded, Receiver};
 use mrnet_transport::{
     Listener, LocalConnection, LocalFabric, RetryPolicy, SharedConnection, TcpTransportListener,
 };
@@ -36,6 +36,7 @@ use crate::delivery::Delivery;
 use crate::error::{MrnetError, Result};
 use crate::event::FailureLedger;
 use crate::internal::process::{Inbound, NodeLoop};
+use crate::internal::sched::Inbox;
 use crate::network::Network;
 use crate::proto::{decode_frame, Control, Frame};
 
@@ -73,7 +74,7 @@ pub struct AttachPoint {
 /// not all attached yet.
 pub struct PendingNetwork {
     ready_rx: Receiver<Vec<Rank>>,
-    cmd_tx: Sender<Inbound>,
+    cmd_tx: Inbox<Inbound>,
     delivery: Arc<Delivery>,
     registry: FilterRegistry,
     ledger: Arc<FailureLedger>,

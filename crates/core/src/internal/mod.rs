@@ -2,4 +2,5 @@
 //! paper Figure 3).
 
 pub mod process;
+pub mod sched;
 pub mod stream_manager;

@@ -26,7 +26,7 @@ use mrnet_obs::{
 };
 use mrnet_packet::bytes::{Bytes, BytesMut};
 use mrnet_packet::{Batcher, Packet, Rank, StreamId};
-use mrnet_transport::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
+use mrnet_transport::chan::{Receiver, RecvTimeoutError, Sender};
 use mrnet_transport::{
     self as transport, ClockEstimate, FrameSink, PacketFrame, SharedConnection, Took,
 };
@@ -34,6 +34,7 @@ use mrnet_transport::{
 use crate::delivery::Delivery;
 use crate::error::{MrnetError, Result};
 use crate::event::FailureLedger;
+use crate::internal::sched::{self, Inbox, Slot, Turns};
 use crate::internal::stream_manager::StreamManager;
 use crate::introspect::{self, METRICS_REPLY, METRICS_REQUEST, METRICS_STREAM, TRACE_REPORT};
 use crate::proto::{
@@ -145,6 +146,10 @@ pub struct NodeLoop {
     routes: RoutingTable,
     managers: HashMap<StreamId, StreamManager>,
     inbox: Receiver<Inbound>,
+    /// The messages the current turn drained, kept to reuse its buffer.
+    batch: VecDeque<Inbound>,
+    /// Where this node's turns run (see [`sched`]).
+    slot: Arc<Slot>,
     delivery: Option<Arc<Delivery>>,
     epoch: Instant,
     child_batchers: Vec<Batcher>,
@@ -209,7 +214,7 @@ enum FailureOrigin {
 /// ever appended to, and a whole frame is never open, so every packet
 /// still reaches the loop in the order the child sent it.
 struct InboxSink {
-    inbox: Sender<Inbound>,
+    inbox: Inbox<Inbound>,
     /// `None` for the parent connection, `Some(i)` for child `i`.
     child: Option<u32>,
 }
@@ -256,10 +261,11 @@ impl FrameSink for InboxSink {
 }
 
 impl NodeLoop {
-    /// Creates the inbox channel for a node loop. The sender side is
-    /// how the front-end injects [`Command`]s into its root loop.
-    pub fn inbox() -> (Sender<Inbound>, Receiver<Inbound>) {
-        unbounded()
+    /// Creates the inbox for a node loop. The sender side is how the
+    /// front-end injects [`Command`]s into its root loop; every push
+    /// through it schedules a turn of the loop.
+    pub fn inbox() -> (Inbox<Inbound>, Receiver<Inbound>) {
+        sched::inbox(Arc::new(NodeMetrics::new()))
     }
 
     /// Builds a node loop and points every connection's inbound frames
@@ -277,9 +283,10 @@ impl NodeLoop {
         children: Vec<SharedConnection>,
         delivery: Option<Arc<Delivery>>,
         ready_tx: Option<Sender<Vec<Rank>>>,
-        inbox: (Sender<Inbound>, Receiver<Inbound>),
+        inbox: (Inbox<Inbound>, Receiver<Inbound>),
     ) -> NodeLoop {
         let (tx, rx) = inbox;
+        let slot = tx.slot().clone();
         if let Some(p) = &parent {
             p.set_sink(Box::new(InboxSink {
                 inbox: tx.clone(),
@@ -307,6 +314,9 @@ impl NodeLoop {
             routes: RoutingTable::new(),
             managers: HashMap::new(),
             inbox: rx,
+            batch: VecDeque::new(),
+            metrics: slot.metrics().clone(),
+            slot,
             delivery,
             epoch: Instant::now(),
             child_batchers: (0..n).map(|_| Batcher::new()).collect(),
@@ -314,7 +324,6 @@ impl NodeLoop {
             deliveries: Vec::new(),
             ready_tx,
             attach_tx: None,
-            metrics: Arc::new(NodeMetrics::new()),
             collects: HashMap::new(),
             trace_pending_up: HashMap::new(),
             parent_trace_outbox: Vec::new(),
@@ -502,60 +511,16 @@ impl NodeLoop {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Runs the event loop until shutdown. Consumes the node.
+    /// Runs the event loop until shutdown, on the calling thread, which
+    /// becomes the node's owner (see [`sched`]). Consumes the node.
     ///
-    /// Each turn takes every queued inbox message under one lock,
-    /// dispatches them in order, fires the timers that are due, and
-    /// then flushes every batcher once: packets that arrived together
-    /// leave together, in as few frames as the batch caps
-    /// ([`mrnet_packet::MAX_BATCH_PACKETS`],
-    /// [`mrnet_packet::MAX_BATCH_BYTES`]) allow.
+    /// The node's turns ([`Turns::turn`]) run on the owner, or on the
+    /// thread of another node whose turn made this one ready. The owner
+    /// fires the node's timers and runs its shutdown cleanup.
     pub fn run(mut self) {
         self.start_clock_sync();
-        let mut batch = VecDeque::new();
-        loop {
-            let deadline = self.next_deadline();
-            let wake_at = Duration::try_from_secs_f64(deadline.max(0.0))
-                .ok()
-                .and_then(|d| self.epoch.checked_add(d));
-            if let Err(RecvTimeoutError::Disconnected) = self.inbox.recv_all(&mut batch, wake_at) {
-                break;
-            }
-            self.metrics.queue_depth.set(batch.len() as i64);
-            let mut keep_going = true;
-            for msg in batch.drain(..) {
-                keep_going = self.dispatch(msg);
-                if !keep_going {
-                    break;
-                }
-            }
-            // Checked after every batch, not only when the inbox runs
-            // dry: steady traffic on one stream must not hold back a
-            // timed-out wave on another.
-            if self.next_deadline() <= self.now() {
-                self.poll_timeouts();
-            }
-            self.flush_all();
-            if !keep_going {
-                break;
-            }
-        }
-        self.shutdown_cleanup();
-    }
-
-    fn shutdown_cleanup(&mut self) {
-        // Tell the subtree and close the mailbox. Dropping the inbox
-        // with the loop makes every later delivery into it fail.
-        let frame = Control::Shutdown.to_frame();
-        for i in 0..self.children.len() {
-            if self.child_alive[i] {
-                let _ = self.send_child(i, frame.clone());
-            }
-        }
-        self.flush_deliveries();
-        if let Some(d) = &self.delivery {
-            d.close();
-        }
+        let slot = self.slot.clone();
+        slot.drive(Box::new(self));
     }
 
     /// Returns false when the loop should exit.
@@ -1145,8 +1110,7 @@ impl NodeLoop {
         let Some(mgr) = self.managers.get(&env.stream) else {
             return; // Stream gone (racing a delete): drop the trace.
         };
-        let route = mgr.live_route().to_vec();
-        for child in route {
+        for &child in mgr.live_route() {
             if self.child_alive[child] && self.child_trace_outbox[child].len() < TRACE_OUTBOX_CAP {
                 self.child_trace_outbox[child].push((env.clone(), recv_us));
             }
@@ -1240,9 +1204,6 @@ impl NodeLoop {
             return Ok(());
         };
         let outs = mgr.down(packet)?;
-        // The stream's fan-out is cached on its manager — no per-packet
-        // end-point cloning or routing-table intersection.
-        let route = mgr.live_route().to_vec();
         for out in &outs {
             if out.is_lazy() {
                 // Counted once per packet, not per multicast replica:
@@ -1251,11 +1212,17 @@ impl NodeLoop {
             }
         }
         for out in outs {
+            // The stream's fan-out is cached on its manager, and
+            // borrowed: a flush needs all of `self`, so it is looked up
+            // again per packet rather than copied.
+            let Some(mgr) = self.managers.get(&sid) else {
+                break;
+            };
             // "A data packet flowing downstream may be placed in
             // multiple output packet buffers because the packet may be
             // destined for multiple back-ends" (§2.3) — by reference.
             let mut flush = false;
-            for &child in &route {
+            for &child in mgr.live_route() {
                 if self.child_alive[child] {
                     self.metrics.down_pkts_sent.inc();
                     self.child_batchers[child].push(out.clone());
@@ -1264,9 +1231,10 @@ impl NodeLoop {
             }
             // Flush only after every route member holds the packet:
             // children whose batches filled identically flush in the
-            // same wave and share one encoded frame.
+            // same wave and share one encoded frame. A batch is flushed
+            // as soon as it fills, so the full ones are on this route.
             if flush {
-                for &child in &route {
+                for child in 0..self.children.len() {
                     if self.child_alive[child] && self.child_batchers[child].should_flush() {
                         self.flush_child(child);
                     }
@@ -1582,6 +1550,62 @@ impl NodeLoop {
                 );
                 self.finish_collect(req_id, collect);
             }
+        }
+    }
+}
+
+impl Turns for NodeLoop {
+    /// Takes every queued inbox message under one lock, without
+    /// waiting, dispatches them in order, fires the timers that are
+    /// due, and then flushes every batcher once: packets that arrived
+    /// together leave together, in as few frames as the batch caps
+    /// ([`mrnet_packet::MAX_BATCH_PACKETS`],
+    /// [`mrnet_packet::MAX_BATCH_BYTES`]) allow.
+    fn turn(&mut self) -> bool {
+        let mut batch = std::mem::take(&mut self.batch);
+        if let Err(RecvTimeoutError::Disconnected) =
+            self.inbox.recv_all(&mut batch, Some(Instant::now()))
+        {
+            return false;
+        }
+        self.metrics.queue_depth.set(batch.len() as i64);
+        let mut keep_going = true;
+        for msg in batch.drain(..) {
+            keep_going = self.dispatch(msg);
+            if !keep_going {
+                break;
+            }
+        }
+        self.batch = batch;
+        // Checked after every batch, not only when the inbox runs dry:
+        // steady traffic on one stream must not hold back a timed-out
+        // wave on another.
+        if self.next_deadline() <= self.now() {
+            self.poll_timeouts();
+        }
+        self.flush_all();
+        keep_going
+    }
+
+    fn wake_at(&self) -> Option<Instant> {
+        Duration::try_from_secs_f64(self.next_deadline().max(0.0))
+            .ok()
+            .and_then(|d| self.epoch.checked_add(d))
+    }
+
+    /// The shutdown cleanup: tells the subtree and closes the mailbox.
+    /// Dropping the inbox with the loop makes every later delivery
+    /// into it fail.
+    fn stop(&mut self) {
+        let frame = Control::Shutdown.to_frame();
+        for i in 0..self.children.len() {
+            if self.child_alive[i] {
+                let _ = self.send_child(i, frame.clone());
+            }
+        }
+        self.flush_deliveries();
+        if let Some(d) = &self.delivery {
+            d.close();
         }
     }
 }

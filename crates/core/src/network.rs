@@ -14,7 +14,7 @@
 //! only between the front-end and its back-ends (§2.1).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -25,17 +25,18 @@ use mrnet_obs::{
     Unpoisoned,
 };
 use mrnet_packet::{Packet, Rank, StreamId, Value};
-use mrnet_transport::chan::{bounded, Sender};
+use mrnet_transport::chan::bounded;
 
 use crate::delivery::Delivery;
 use crate::error::{MrnetError, Result};
 use crate::event::{FailureLedger, TopologyEvent};
 use crate::internal::process::{Command, Inbound};
+use crate::internal::sched::Inbox;
 use crate::proto::FIRST_USER_STREAM;
 use crate::streams::StreamDef;
 
 pub(crate) struct NetInner {
-    pub(crate) cmd_tx: Sender<Inbound>,
+    pub(crate) cmd_tx: Inbox<Inbound>,
     pub(crate) delivery: Arc<Delivery>,
     pub(crate) endpoints: Vec<Rank>,
     pub(crate) registry: FilterRegistry,
@@ -43,8 +44,9 @@ pub(crate) struct NetInner {
     pub(crate) assembler: Arc<TraceAssembler>,
     next_stream: AtomicU32,
     next_metrics_req: AtomicU32,
-    streams: Mutex<HashMap<StreamId, StreamDef>>,
-    sent: Mutex<HashMap<StreamId, u64>>,
+    /// Each open stream's definition and its front-end sent counter,
+    /// which every handle on the stream shares.
+    streams: Mutex<HashMap<StreamId, (StreamDef, Arc<AtomicU64>)>>,
     joins: Mutex<Vec<JoinHandle<()>>>,
     down: AtomicBool,
 }
@@ -88,6 +90,8 @@ impl Communicator {
 #[derive(Clone)]
 pub struct Stream {
     def: StreamDef,
+    /// Packets sent on this stream, shared by every handle on it.
+    sent: Arc<AtomicU64>,
     net: Arc<NetInner>,
 }
 
@@ -128,7 +132,7 @@ pub struct MetricsExport {
 
 impl Network {
     pub(crate) fn from_parts(
-        cmd_tx: Sender<Inbound>,
+        cmd_tx: Inbox<Inbound>,
         delivery: Arc<Delivery>,
         endpoints: Vec<Rank>,
         registry: FilterRegistry,
@@ -147,7 +151,6 @@ impl Network {
                 next_stream: AtomicU32::new(FIRST_USER_STREAM),
                 next_metrics_req: AtomicU32::new(0),
                 streams: Mutex::new(HashMap::new()),
-                sent: Mutex::new(HashMap::new()),
                 joins: Mutex::new(joins),
                 down: AtomicBool::new(false),
             }),
@@ -228,21 +231,23 @@ impl Network {
             down_filter: self.inner.registry.name_of(down_filter)?,
             sync,
         };
+        let sent = Arc::new(AtomicU64::new(0));
         self.inner
             .streams
             .lock()
             .unpoisoned()
-            .insert(id, def.clone());
+            .insert(id, (def.clone(), sent.clone()));
         self.send_cmd(Command::NewStream(Box::new(def.clone())))?;
         Ok(Stream {
             def,
+            sent,
             net: self.inner.clone(),
         })
     }
 
     /// Looks up an existing stream by id.
     pub fn stream(&self, id: StreamId) -> Result<Stream> {
-        let def = self
+        let (def, sent) = self
             .inner
             .streams
             .lock()
@@ -252,6 +257,7 @@ impl Network {
             .ok_or(MrnetError::UnknownStream(id))?;
         Ok(Stream {
             def,
+            sent,
             net: self.inner.clone(),
         })
     }
@@ -451,13 +457,7 @@ impl Stream {
             .cmd_tx
             .send(Inbound::Cmd(Command::SendDown(packet)))
             .map_err(|_| MrnetError::Shutdown)?;
-        *self
-            .net
-            .sent
-            .lock()
-            .unpoisoned()
-            .entry(self.def.id)
-            .or_insert(0) += 1;
+        self.sent.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -502,14 +502,7 @@ impl Stream {
     pub fn stats(&self) -> StreamStats {
         let d = self.net.delivery.stream_stats(self.def.id);
         StreamStats {
-            sent: self
-                .net
-                .sent
-                .lock()
-                .unpoisoned()
-                .get(&self.def.id)
-                .copied()
-                .unwrap_or(0),
+            sent: self.sent.load(Ordering::Relaxed),
             received: d.received,
             queued: d.queued,
             closed: d.closed,
@@ -523,5 +516,50 @@ impl Stream {
             .cmd_tx
             .send(Inbound::Cmd(Command::DeleteStream(self.def.id)))
             .map_err(|_| MrnetError::Shutdown)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::launch_local;
+    use mrnet_topology::{generator, HostPool};
+
+    /// Every handle on a stream shares one sent counter: sends through
+    /// clones and through `Network::stream` handles, from several
+    /// threads at once, all count, exactly once each.
+    #[test]
+    fn stream_stats_sent_is_exact_across_handles_and_threads() {
+        const PER_THREAD: u64 = 500;
+        let topo = generator::balanced(2, 1, &mut HostPool::synthetic(8)).unwrap();
+        let dep = launch_local(topo).unwrap();
+        let net = dep.network.clone();
+        let null = net.registry().id_of("null").unwrap();
+        let stream = net
+            .new_stream(&net.broadcast_communicator(), null, SyncMode::DoNotWait)
+            .unwrap();
+        let other = net
+            .new_stream(&net.broadcast_communicator(), null, SyncMode::DoNotWait)
+            .unwrap();
+        let handles = [stream.clone(), net.stream(stream.id()).unwrap()];
+        std::thread::scope(|s| {
+            for h in &handles {
+                s.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        h.send(0, "%d", vec![Value::Int32(i as i32)]).unwrap();
+                    }
+                });
+            }
+        });
+        other.send(0, "%d", vec![Value::Int32(0)]).unwrap();
+        assert_eq!(stream.stats().sent, 2 * PER_THREAD);
+        assert_eq!(
+            net.stream(stream.id()).unwrap().stats().sent,
+            2 * PER_THREAD
+        );
+        assert_eq!(other.stats().sent, 1);
+        drop(dep.backends);
+        net.shutdown();
+        assert_eq!(stream.stats().sent, 2 * PER_THREAD);
     }
 }

@@ -12,12 +12,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mrnet::internal::process::{Inbound, NodeLoop};
+use mrnet::internal::sched::Inbox;
 use mrnet::introspect::{encode_request, METRICS_STREAM, TRACE_REPORT};
 use mrnet::obs::tracectx::TraceEnvelope;
 use mrnet::proto::{decode_frame, encode_data_frame, encode_traced_data_frame, Control, Frame};
 use mrnet::{Backend, FilterRegistry, Packet, PacketBuilder, Rank, StreamId, SyncMode, Value};
 use mrnet_packet::{MAX_BATCH_BYTES, MAX_BATCH_PACKETS};
-use mrnet_transport::chan::{Receiver, Sender};
+use mrnet_transport::chan::Receiver;
 use mrnet_transport::{Connection, Listener, LocalConnection, LocalFabric, SharedConnection};
 
 const SID: StreamId = 3;
@@ -27,7 +28,7 @@ const TIMEOUT: Duration = Duration::from_secs(20);
 struct Rig {
     node: NodeLoop,
     /// A second handle on the node's inbox, to look at what is queued.
-    inbox: (Sender<Inbound>, Receiver<Inbound>),
+    inbox: (Inbox<Inbound>, Receiver<Inbound>),
     /// The test's end of the node's parent connection.
     parent: LocalConnection,
     /// The node's ends of its child connections.

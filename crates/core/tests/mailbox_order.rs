@@ -8,13 +8,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mrnet::internal::process::{Command, Inbound, NodeLoop};
+use mrnet::internal::sched::Inbox;
 use mrnet::introspect;
 use mrnet::proto::{encode_data_frame, Control};
 use mrnet::{
     Delivery, FilterRegistry, MrnetError, Packet, PacketBuilder, Rank, StreamDef, StreamId,
     SyncMode, TraceEnvelope, Value,
 };
-use mrnet_transport::chan::Sender;
 use mrnet_transport::{Connection, LocalConnection, SharedConnection};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -26,7 +26,7 @@ fn root_loop(
     n: usize,
 ) -> (
     NodeLoop,
-    Sender<Inbound>,
+    Inbox<Inbound>,
     Arc<Delivery>,
     Vec<LocalConnection>,
 ) {

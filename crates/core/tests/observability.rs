@@ -131,6 +131,41 @@ fn counters_reconcile_and_introspection_covers_every_node() {
         .sum();
     assert!(leaf_bytes > 0);
 
+    // Turn counters reconcile at every node.
+    for node in &interior {
+        let turns = node.get("loop.turns").unwrap();
+        assert!(turns > 0);
+        assert!(node.get("loop.turns_adopted").unwrap() <= turns);
+        // Each owner wake hands over exactly one turn.
+        assert!(node.get("loop.owner_wakes").unwrap() <= turns);
+    }
+    // Back-ends run no node loop.
+    for be in sections_for(&snap, &backend_ranks) {
+        assert_eq!(be.get("loop.turns"), Some(0));
+        assert_eq!(be.get("loop.turns_adopted"), Some(0));
+        assert_eq!(be.get("loop.owner_wakes"), Some(0));
+    }
+
+    // Hand-off by execution: a turn that makes an in-process neighbour
+    // ready runs the neighbour's turn on its own thread. Which turns a
+    // thread takes over depends on what is running at that moment (a
+    // busy interior runs its own next turn), so collect again until
+    // each interior has shown one. A collection that finds the tree
+    // idle runs on the root's owner and takes over both interiors'
+    // turns.
+    let mid_ranks: Vec<u32> = internals.iter().map(|s| s.rank).collect();
+    let adopted = |snap: &NetworkSnapshot| {
+        sections_for(snap, &mid_ranks).all(|s| s.get("loop.turns_adopted").unwrap() > 0)
+    };
+    let mut seen = adopted(&snap);
+    for _ in 0..100 {
+        if seen {
+            break;
+        }
+        seen = adopted(&net.metrics_snapshot(Duration::from_secs(5)).unwrap());
+    }
+    assert!(seen, "both interiors ran turns on another node's thread");
+
     net.shutdown();
     for h in handles {
         h.join().unwrap();

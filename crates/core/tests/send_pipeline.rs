@@ -11,13 +11,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mrnet::internal::process::{Command, Inbound, NodeLoop};
+use mrnet::internal::sched::Inbox;
 use mrnet::proto::{decode_frame, Control, Frame};
 use mrnet::{
     launch_local, FilterRegistry, MrnetError, PacketBuilder, Rank, StreamDef, StreamId, SyncMode,
     Value,
 };
 use mrnet_topology::{generator, HostPool};
-use mrnet_transport::chan::Sender;
 use mrnet_transport::{Connection, LocalConnection, SharedConnection};
 
 const TIMEOUT: Duration = Duration::from_secs(20);
@@ -91,7 +91,7 @@ fn multicast_wave_encodes_once_and_shares_with_siblings() {
 /// children whose far ends the test holds: set up, each child having
 /// reported itself as one back-end, but not yet running. Returned with
 /// its inbox sender.
-fn root_loop(n: usize) -> (NodeLoop, Sender<Inbound>, Vec<LocalConnection>) {
+fn root_loop(n: usize) -> (NodeLoop, Inbox<Inbound>, Vec<LocalConnection>) {
     let mut near = Vec::new();
     let mut far = Vec::new();
     for i in 0..n {

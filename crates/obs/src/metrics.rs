@@ -322,6 +322,16 @@ pub struct NodeMetrics {
     /// this node materialized (decoded). A pure relay keeps this at
     /// zero.
     pub pkts_decoded: Counter,
+    /// Turns this node's loop ran: inbox drains, each followed by due
+    /// timers and one flush.
+    pub loop_turns: Counter,
+    /// Turns of this node run by another node's thread, which made the
+    /// node ready during its own turn (hand-off by execution).
+    pub loop_turns_adopted: Counter,
+    /// Times a thread that runs no turns (a tool thread, a TCP reader,
+    /// the front-end API) made this node ready and unparked its owner
+    /// thread to run the turn.
+    pub loop_owner_wakes: Counter,
     streams: Mutex<BTreeMap<u32, Arc<StreamCounters>>>,
     filters: Mutex<BTreeMap<String, Arc<FilterStats>>>,
     conns: Mutex<BTreeMap<u32, ConnSendStats>>,
@@ -392,6 +402,9 @@ impl NodeMetrics {
         s.push("trace.hops", self.trace_hops.get());
         s.push("pkts.lazy_relayed", self.pkts_lazy_relayed.get());
         s.push("pkts.decoded", self.pkts_decoded.get());
+        s.push("loop.turns", self.loop_turns.get());
+        s.push("loop.turns_adopted", self.loop_turns_adopted.get());
+        s.push("loop.owner_wakes", self.loop_owner_wakes.get());
         s.push_histogram("batch.pkts", &self.batch_pkts.snapshot());
         for (id, c) in self.streams.lock().unpoisoned().iter() {
             s.push(&format!("stream.{id}.up.pkts"), c.up_pkts.get());
@@ -604,6 +617,9 @@ mod tests {
         m.trace_hops.add(6);
         m.pkts_lazy_relayed.add(40);
         m.pkts_decoded.add(9);
+        m.loop_turns.add(12);
+        m.loop_turns_adopted.add(5);
+        m.loop_owner_wakes.add(6);
         m.set_conn_send_stats(
             9,
             ConnSendStats {
@@ -636,6 +652,9 @@ mod tests {
         assert_eq!(s.get("filter.sum_u32.exec_us.count"), Some(1));
         assert_eq!(s.get("pkts.lazy_relayed"), Some(40));
         assert_eq!(s.get("pkts.decoded"), Some(9));
+        assert_eq!(s.get("loop.turns"), Some(12));
+        assert_eq!(s.get("loop.turns_adopted"), Some(5));
+        assert_eq!(s.get("loop.owner_wakes"), Some(6));
         assert_eq!(s.get("no.such.metric"), None);
     }
 }
