@@ -181,7 +181,7 @@ fn fmt_quantile(us: u64) -> String {
 }
 
 /// Prints the per-hop latency table reconstructed by the front-end's
-/// [`TraceAssembler`] from sampled trace envelopes: per-rank dwell and
+/// [`mrnet::TraceAssembler`] from sampled trace envelopes: per-rank dwell and
 /// per-edge transit percentiles (skew-corrected), plus the clock
 /// offset/RTT estimates behind the correction. This is the
 /// trace-driven replacement for the ad-hoc per-node breakdown — it

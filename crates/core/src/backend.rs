@@ -13,27 +13,21 @@ use std::time::{Duration, Instant};
 use mrnet_obs::tracectx::{self, TraceEnvelope, TraceSampler};
 use mrnet_obs::{log_warn, NodeMetrics, StreamCounters, Unpoisoned};
 use mrnet_packet::bytes::Bytes;
-use mrnet_packet::{Packet, PacketBuilder, Rank, StreamId, Value};
+use mrnet_packet::{Packet, Rank, StreamId, Value};
 use mrnet_transport::{LocalFabric, RetryPolicy, SharedConnection};
 
 use crate::error::{MrnetError, Result};
 use crate::event::TopologyEvent;
 use crate::introspect::{self, METRICS_REQUEST, METRICS_STREAM};
 use crate::proto::{decode_frame, encode_data_frame, encode_traced_data_frame, Control, Frame};
-use crate::streams::StreamDef;
-
-/// A stream this back-end has learned about, with its packet counters
-/// cached so a send needs no registry lookup.
-struct KnownStream {
-    def: StreamDef,
-    counters: Arc<StreamCounters>,
-}
 
 /// A tool back-end (daemon) endpoint of the MRNet network.
 pub struct Backend {
     rank: Rank,
     conn: SharedConnection,
-    streams: Mutex<HashMap<StreamId, KnownStream>>,
+    /// The streams this back-end has learned about, each with its packet
+    /// counters cached so a send needs no registry lookup.
+    streams: Mutex<HashMap<StreamId, Arc<StreamCounters>>>,
     pending: Mutex<VecDeque<Packet>>,
     down: AtomicBool,
     metrics: Arc<NodeMetrics>,
@@ -171,13 +165,9 @@ impl Backend {
             Frame::Control(pkt) => {
                 let control = Control::from_packet(&pkt)?;
                 match control {
-                    Control::NewStream { .. } => {
-                        let def = StreamDef::from_control(&control).expect("NewStream parses");
-                        let counters = self.metrics.stream_counters(def.id);
-                        self.streams
-                            .lock()
-                            .unpoisoned()
-                            .insert(def.id, KnownStream { def, counters });
+                    Control::NewStream { stream_id, .. } => {
+                        let counters = self.metrics.stream_counters(stream_id);
+                        self.streams.lock().unpoisoned().insert(stream_id, counters);
                     }
                     Control::DeleteStream { stream_id } => {
                         self.streams.lock().unpoisoned().remove(&stream_id);
@@ -281,7 +271,7 @@ impl Backend {
         }
         let sid = packet.stream_id();
         let counters = match self.streams.lock().unpoisoned().get(&sid) {
-            Some(stream) => stream.counters.clone(),
+            Some(counters) => counters.clone(),
             None => return Err(MrnetError::UnknownStream(sid)),
         };
         let packet = packet.with_src(self.rank);
@@ -308,36 +298,6 @@ impl Backend {
         Ok(())
     }
 
-    /// Convenience: build and send a packet from Rust values.
-    pub fn send_values(
-        &self,
-        stream: StreamId,
-        tag: i32,
-        values: impl IntoIterator<Item = Value>,
-    ) -> Result<()> {
-        let mut builder = PacketBuilder::new(stream, tag).src(self.rank);
-        for v in values {
-            builder = builder.push(v);
-        }
-        self.send_packet(builder.build())
-    }
-
-    /// The definition of a stream this back-end has learned about.
-    pub fn stream_def(&self, stream: StreamId) -> Option<StreamDef> {
-        self.streams
-            .lock()
-            .unpoisoned()
-            .get(&stream)
-            .map(|s| s.def.clone())
-    }
-
-    /// Ids of all streams known to this back-end.
-    pub fn known_streams(&self) -> Vec<StreamId> {
-        let mut v: Vec<StreamId> = self.streams.lock().unpoisoned().keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// True once the network has shut down.
     pub fn is_down(&self) -> bool {
         self.down.load(Ordering::Acquire)
@@ -361,6 +321,7 @@ impl Backend {
 mod tests {
     use super::*;
     use mrnet_filters::SyncMode;
+    use mrnet_packet::PacketBuilder;
     use mrnet_transport::{Connection, LocalConnection};
 
     const SID: StreamId = 5;

@@ -97,29 +97,12 @@ impl Delivery {
         }
     }
 
-    /// Lifetime count of packets delivered on `stream` (including ones
-    /// already consumed by receives).
-    pub fn received_on(&self, stream: StreamId) -> u64 {
-        self.state
-            .lock()
-            .unpoisoned()
-            .received
-            .get(&stream)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Marks the network as shut down; blocked receivers return
     /// [`MrnetError::Shutdown`] once drained.
     pub fn close(&self) {
         let mut st = self.state.lock().unpoisoned();
         st.closed = true;
         self.cv.notify_all();
-    }
-
-    /// True once closed.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unpoisoned().closed
     }
 
     /// Marks `stream` as having lost its every end-point. Queued
@@ -130,11 +113,6 @@ impl Delivery {
         let mut st = self.state.lock().unpoisoned();
         st.failed.insert(stream);
         self.cv.notify_all();
-    }
-
-    /// True once [`Delivery::fail_stream`] was called for `stream`.
-    pub fn is_failed(&self, stream: StreamId) -> bool {
-        self.state.lock().unpoisoned().failed.contains(&stream)
     }
 
     /// One stream's mailbox standing. An all-default result with
@@ -153,25 +131,6 @@ impl Delivery {
             seen: received > 0 || st.per_stream.contains_key(&stream),
             closed: st.closed,
         }
-    }
-
-    /// Mailbox-wide totals: `(packets currently queued, lifetime
-    /// packets delivered)` across all streams.
-    pub fn totals(&self) -> (usize, u64) {
-        let st = self.state.lock().unpoisoned();
-        let queued = st.per_stream.values().map(VecDeque::len).sum();
-        let received = st.received.values().sum();
-        (queued, received)
-    }
-
-    /// Packets currently queued for `stream`.
-    pub fn pending_on(&self, stream: StreamId) -> usize {
-        self.state
-            .lock()
-            .unpoisoned()
-            .per_stream
-            .get(&stream)
-            .map_or(0, VecDeque::len)
     }
 
     /// Waits for a wake-up, or until the receive's deadline. The clock
@@ -278,7 +237,8 @@ mod tests {
         let d = Delivery::new();
         d.push_many([pkt(1, 10), pkt(2, 20), pkt(1, 11)]);
         d.push_many(std::iter::empty()); // no-op, no spurious wake-up
-        assert_eq!(d.totals(), (3, 3));
+        assert_eq!(d.stream_stats(1).queued, 2);
+        assert_eq!(d.stream_stats(2).queued, 1);
         assert_eq!(d.recv_any(None).unwrap().stream_id(), 1);
         assert_eq!(d.recv_any(None).unwrap().stream_id(), 2);
         assert_eq!(
@@ -316,14 +276,15 @@ mod tests {
         for v in 0..N {
             d.push(pkt(1, v));
         }
-        assert_eq!(d.totals(), (N as usize, N as u64));
+        assert_eq!(d.stream_stats(1).queued, N as usize);
         for v in 0..N {
             assert_eq!(
                 d.recv_on(1, None).unwrap().get(0).unwrap().as_i32(),
                 Some(v)
             );
         }
-        assert_eq!(d.totals(), (0, N as u64));
+        assert_eq!(d.stream_stats(1).queued, 0);
+        assert_eq!(d.stream_stats(1).received, N as u64);
         assert!(d
             .state
             .lock()
@@ -347,7 +308,7 @@ mod tests {
             .map(|_| d.recv_any(None).unwrap().get(0).unwrap().as_i32().unwrap())
             .collect();
         assert_eq!(rest, vec![10, 11, 30, 21]);
-        assert_eq!(d.totals().0, 0);
+        assert!((1..=3).all(|sid| d.stream_stats(sid).queued == 0));
     }
 
     #[test]
@@ -367,7 +328,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         d.close();
         assert_eq!(h.join().unwrap(), Err(MrnetError::Shutdown));
-        assert!(d.is_closed());
+        assert!(d.stream_stats(1).closed);
     }
 
     #[test]
@@ -393,22 +354,22 @@ mod tests {
     #[test]
     fn pending_count() {
         let d = Delivery::new();
-        assert_eq!(d.pending_on(1), 0);
+        assert_eq!(d.stream_stats(1).queued, 0);
         d.push(pkt(1, 0));
         d.push(pkt(1, 1));
-        assert_eq!(d.pending_on(1), 2);
+        assert_eq!(d.stream_stats(1).queued, 2);
     }
 
     #[test]
     fn received_counter_survives_consumption() {
         let d = Delivery::new();
-        assert_eq!(d.received_on(1), 0);
+        assert_eq!(d.stream_stats(1).received, 0);
         d.push(pkt(1, 0));
         d.push(pkt(1, 1));
         d.recv_on(1, None).unwrap();
-        assert_eq!(d.received_on(1), 2);
-        assert_eq!(d.pending_on(1), 1);
-        assert_eq!(d.received_on(9), 0);
+        assert_eq!(d.stream_stats(1).received, 2);
+        assert_eq!(d.stream_stats(1).queued, 1);
+        assert_eq!(d.stream_stats(9).received, 0);
     }
 
     #[test]
@@ -452,7 +413,6 @@ mod tests {
         let d = Delivery::new();
         d.push(pkt(1, 5));
         d.fail_stream(1);
-        assert!(d.is_failed(1));
         // The survivor-produced packet is still receivable...
         assert!(d.recv_on(1, None).is_ok());
         // ...then the failure surfaces, distinct from Shutdown/Timeout.
@@ -473,15 +433,15 @@ mod tests {
     }
 
     #[test]
-    fn totals_aggregate_across_streams() {
+    fn stream_stats_count_each_stream_apart() {
         let d = Delivery::new();
-        assert_eq!(d.totals(), (0, 0));
         d.push(pkt(1, 0));
         d.push(pkt(2, 0));
         d.push(pkt(2, 1));
-        assert_eq!(d.totals(), (3, 3));
         d.recv_on(2, None).unwrap();
-        assert_eq!(d.totals(), (2, 3));
+        let (one, two) = (d.stream_stats(1), d.stream_stats(2));
+        assert_eq!((one.queued, one.received), (1, 1));
+        assert_eq!((two.queued, two.received), (1, 2));
     }
 
     /// Runs a receive that waits up to 10 s and fails if it returned
@@ -541,6 +501,8 @@ mod tests {
         for h in producers {
             h.join().unwrap();
         }
-        assert_eq!(d.totals(), (0, PRODUCERS as u64 * PER_PRODUCER as u64));
+        let st = d.stream_stats(1);
+        assert_eq!(st.queued, 0);
+        assert_eq!(st.received, PRODUCERS as u64 * PER_PRODUCER as u64);
     }
 }

@@ -31,15 +31,6 @@ pub enum TopologyEvent {
     },
 }
 
-impl TopologyEvent {
-    /// The back-end ranks this event removes from the tree.
-    pub fn lost_ranks(&self) -> &[Rank] {
-        match self {
-            TopologyEvent::RankFailed { subtree, .. } => subtree,
-        }
-    }
-}
-
 /// The root node loop's record of confirmed failures, shared with the
 /// [`crate::Network`] handle: an event queue tools consume plus the
 /// cumulative set of failed back-end ranks (so late readers see deaths
@@ -91,11 +82,6 @@ impl FailureLedger {
     pub fn failed_ranks(&self) -> Vec<Rank> {
         self.failed.lock().unpoisoned().iter().copied().collect()
     }
-
-    /// True if `rank` has been reported failed.
-    pub fn is_failed(&self, rank: Rank) -> bool {
-        self.failed.lock().unpoisoned().contains(&rank)
-    }
 }
 
 #[cfg(test)]
@@ -110,8 +96,6 @@ mod tests {
         ledger.report(3, vec![5, 6]);
         ledger.report(7, vec![7]);
         assert_eq!(ledger.failed_ranks(), vec![3, 5, 6, 7]);
-        assert!(ledger.is_failed(5));
-        assert!(!ledger.is_failed(4));
         let ev = ledger.events().try_recv().unwrap();
         assert_eq!(
             ev,
@@ -120,7 +104,6 @@ mod tests {
                 subtree: vec![5, 6]
             }
         );
-        assert_eq!(ev.lost_ranks(), &[5, 6]);
         assert!(ledger.events().try_recv().is_ok());
         assert!(ledger.events().try_recv().is_err());
     }

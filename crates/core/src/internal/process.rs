@@ -26,7 +26,7 @@ use mrnet_obs::{
 };
 use mrnet_packet::bytes::{Bytes, BytesMut};
 use mrnet_packet::{Batcher, Packet, Rank, StreamId};
-use mrnet_transport::chan::{Receiver, RecvTimeoutError, Sender};
+use mrnet_transport::chan::{Receiver, Sender};
 use mrnet_transport::{
     self as transport, ClockEstimate, FrameSink, PacketFrame, SharedConnection, Took,
 };
@@ -72,7 +72,7 @@ pub enum Inbound {
     Child(u32, Bytes),
     /// A data frame from child `u32` that is still open: packets the
     /// child sends before the loop drains its inbox are appended to it
-    /// while it is the inbox's last message (see [`InboxSink`]).
+    /// while it is the inbox's last message (see `InboxSink`).
     ChildData(u32, BytesMut),
     /// Child `u32`'s connection closed.
     ChildClosed(u32),
@@ -514,7 +514,7 @@ impl NodeLoop {
     /// Runs the event loop until shutdown, on the calling thread, which
     /// becomes the node's owner (see [`sched`]). Consumes the node.
     ///
-    /// The node's turns ([`Turns::turn`]) run on the owner, or on the
+    /// The node's turns (`Turns::turn`) run on the owner, or on the
     /// thread of another node whose turn made this one ready. The owner
     /// fires the node's timers and runs its shutdown cleanup.
     pub fn run(mut self) {
@@ -1563,9 +1563,7 @@ impl Turns for NodeLoop {
     /// [`mrnet_packet::MAX_BATCH_BYTES`]) allow.
     fn turn(&mut self) -> bool {
         let mut batch = std::mem::take(&mut self.batch);
-        if let Err(RecvTimeoutError::Disconnected) =
-            self.inbox.recv_all(&mut batch, Some(Instant::now()))
-        {
+        if self.inbox.recv_all(&mut batch).is_err() {
             return false;
         }
         self.metrics.queue_depth.set(batch.len() as i64);

@@ -1,13 +1,13 @@
 //! Hand-off by execution: which thread runs a node's next turn.
 //!
-//! A turn ([`Turns::turn`]) drains a node's inbox without blocking,
+//! A turn (`Turns::turn`) drains a node's inbox without blocking,
 //! dispatches what it took, fires the timers that are due and flushes.
 //! Any thread may run a turn, one thread at a time: the node sits behind
-//! its own lock in a [`Slot`], next to one atomic schedule state. The
+//! its own lock in a `Slot`, next to one atomic schedule state. The
 //! node's owner thread sets it up, sleeps until its timers are due, and
 //! cleans up after its last turn.
 //!
-//! Every push into an [`Inbox`] calls [`Slot::schedule`], and only the
+//! Every push into an [`Inbox`] calls `Slot::schedule`, and only the
 //! push that moves the node from idle to scheduled acts:
 //! - on a thread that is running turns (an owner thread, its own node's
 //!   or adopted ones), the node joins that thread's FIFO run queue and
@@ -357,7 +357,7 @@ impl<M> Inbox<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrnet_transport::chan::{bounded, RecvTimeoutError};
+    use mrnet_transport::chan::bounded;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
     use std::thread::{JoinHandle, ThreadId};
 
@@ -373,15 +373,6 @@ mod tests {
             "woken by the timeout, not the send"
         );
         got
-    }
-
-    /// Takes everything queued without waiting; false once every sender
-    /// is gone.
-    fn drain<M>(rx: &Receiver<M>, out: &mut VecDeque<M>) -> bool {
-        !matches!(
-            rx.recv_all(out, Some(Instant::now())),
-            Err(RecvTimeoutError::Disconnected)
-        )
     }
 
     /// Spawns the owner thread of a node, which drives it until it
@@ -415,7 +406,7 @@ mod tests {
 
     impl Turns for Target {
         fn turn(&mut self) -> bool {
-            if !drain(&self.rx, &mut self.batch) {
+            if self.rx.recv_all(&mut self.batch).is_err() {
                 return false;
             }
             let mut next = self.next.lock().unwrap();
@@ -454,7 +445,7 @@ mod tests {
 
     impl Turns for Producer {
         fn turn(&mut self) -> bool {
-            if !drain(&self.rx, &mut self.batch) {
+            if self.rx.recv_all(&mut self.batch).is_err() {
                 return false;
             }
             for msg in self.batch.drain(..) {
@@ -594,7 +585,7 @@ mod tests {
     impl Turns for Stoppable {
         fn turn(&mut self) -> bool {
             assert!(!self.stopped.load(Relaxed), "a turn ran after the last one");
-            if !drain(&self.rx, &mut self.batch) {
+            if self.rx.recv_all(&mut self.batch).is_err() {
                 return false;
             }
             for msg in self.batch.drain(..) {

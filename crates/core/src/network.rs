@@ -461,15 +461,6 @@ impl Stream {
         Ok(())
     }
 
-    /// Convenience: build and send from Rust values.
-    pub fn send_values(&self, tag: i32, values: impl IntoIterator<Item = Value>) -> Result<()> {
-        let mut builder = mrnet_packet::PacketBuilder::new(self.def.id, tag);
-        for v in values {
-            builder = builder.push(v);
-        }
-        self.send_packet(builder.build())
-    }
-
     /// Blocking receive of the next aggregated upstream packet on this
     /// stream (Figure 2's `stream->recv("%f", result)`).
     pub fn recv(&self) -> Result<Packet> {
@@ -495,7 +486,7 @@ impl Stream {
 
     /// Number of aggregated packets queued for this stream.
     pub fn pending(&self) -> usize {
-        self.net.delivery.pending_on(self.def.id)
+        self.net.delivery.stream_stats(self.def.id).queued
     }
 
     /// Front-end traffic counters for this stream.

@@ -2,9 +2,9 @@
 //!
 //! During instantiation every process learns, per direct child, the
 //! set of back-end ranks reachable through that child (the §2.5
-//! subtree reports). [`RoutingTable`] answers the two questions the
-//! data path asks: *which children does this stream involve?* and
-//! *does child c lead to any end-point of this stream?*
+//! subtree reports). [`RoutingTable`] answers the question the data
+//! path asks: *which children does this stream involve, and which of
+//! its end-points does each lead to?*
 
 use std::collections::HashSet;
 
@@ -51,22 +51,9 @@ impl RoutingTable {
         v
     }
 
-    /// Whether child `child` leads to any rank in `endpoints`.
-    pub fn child_serves(&self, child: usize, endpoints: &[Rank]) -> bool {
-        endpoints.iter().any(|r| self.reachable[child].contains(r))
-    }
-
-    /// Local indices of the children that lead to at least one of
-    /// `endpoints`, in child order.
-    pub fn children_for(&self, endpoints: &[Rank]) -> Vec<usize> {
-        (0..self.reachable.len())
-            .filter(|&c| self.child_serves(c, endpoints))
-            .collect()
-    }
-
-    /// One-pass combination of [`RoutingTable::children_for`] and
-    /// [`RoutingTable::targets_via`]: each serving child paired with
-    /// the end-points it reaches, in child order.
+    /// Each child that leads to at least one of `endpoints`, paired with
+    /// the end-points it reaches ([`RoutingTable::targets_via`]), in
+    /// child order.
     pub fn children_with_targets(&self, endpoints: &[Rank]) -> Vec<(usize, Vec<Rank>)> {
         (0..self.reachable.len())
             .filter_map(|c| {
@@ -125,10 +112,10 @@ mod tests {
     #[test]
     fn children_for_selects_overlapping() {
         let t = table();
-        assert_eq!(t.children_for(&[2, 4]), vec![0, 2]);
-        assert_eq!(t.children_for(&[3]), vec![1]);
-        assert_eq!(t.children_for(&[99]), Vec::<usize>::new());
-        assert_eq!(t.children_for(&[1, 3, 5]), vec![0, 1, 2]);
+        assert_eq!(t.children_with_targets(&[3]), vec![(1, vec![3])]);
+        assert!(t.children_with_targets(&[99]).is_empty());
+        let all = t.children_with_targets(&[1, 3, 5]);
+        assert_eq!(all, vec![(0, vec![1]), (1, vec![3]), (2, vec![5])]);
     }
 
     #[test]
@@ -151,8 +138,8 @@ mod tests {
     #[test]
     fn child_serves() {
         let t = table();
-        assert!(t.child_serves(0, &[2]));
-        assert!(!t.child_serves(0, &[3]));
+        assert_eq!(t.targets_via(0, &[2]), vec![2]);
+        assert!(t.targets_via(0, &[3]).is_empty());
     }
 
     #[test]
@@ -171,8 +158,8 @@ mod tests {
         assert_eq!(t.reachable_via(2), vec![4, 6]);
         assert_eq!(t.all_endpoints(), vec![1, 2, 4, 6]);
         // Routing queries now skip the dead ranks.
-        assert_eq!(t.children_for(&[3]), Vec::<usize>::new());
-        assert_eq!(t.children_for(&[5, 6]), vec![2]);
+        assert!(t.children_with_targets(&[3]).is_empty());
+        assert_eq!(t.children_with_targets(&[5, 6]), vec![(2, vec![6])]);
     }
 
     #[test]

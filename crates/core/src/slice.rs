@@ -104,19 +104,6 @@ impl SubtreeView {
             .collect()
     }
 
-    /// All back-end ranks reachable through this subtree (the content
-    /// of the eventual subtree report).
-    pub fn backend_ranks(&self) -> Vec<Rank> {
-        let mut v: Vec<Rank> = self
-            .topology
-            .backends()
-            .into_iter()
-            .map(|id| self.ranks[id.0])
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// The slice to forward to the direct child with global rank
     /// `child_rank`.
     pub fn slice_for(&self, child_rank: Rank) -> Result<SubtreeSlice> {
@@ -159,7 +146,7 @@ mod tests {
         assert_eq!(slice.parents[0], u32::MAX);
         let view = slice.view().unwrap();
         assert_eq!(view.my_rank(), 0);
-        assert_eq!(view.backend_ranks().len(), 4);
+        assert_eq!(view.topology.backends().len(), 4);
         let kids = view.children();
         assert_eq!(kids.len(), 2);
         assert!(kids.iter().all(|&(_, leaf)| !leaf));
@@ -176,7 +163,7 @@ mod tests {
         let kids = view.children();
         assert_eq!(kids.len(), 2);
         assert!(kids.iter().all(|&(_, leaf)| leaf));
-        assert_eq!(view.backend_ranks().len(), 2);
+        assert_eq!(view.topology.backends().len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mrnet::internal::process::{Inbound, NodeLoop};
 use mrnet::internal::sched::Inbox;
@@ -122,7 +122,7 @@ struct Queued {
 fn peek(rig: &Rig) -> Vec<Queued> {
     let (tx, rx) = &rig.inbox;
     let mut all = VecDeque::new();
-    rx.recv_all(&mut all, Some(Instant::now())).unwrap();
+    rx.recv_all(&mut all).unwrap();
     let mut seen = Vec::new();
     for msg in all {
         let described = match &msg {

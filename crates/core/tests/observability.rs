@@ -1,17 +1,62 @@
 //! End-to-end tests of the observability layer: per-node packet
-//! counters that reconcile across the tree, and the in-band
-//! introspection stream that collects them.
+//! counters that reconcile across the tree, the in-band introspection
+//! stream that collects them, and the metric catalogue that names them.
 
-use std::time::Duration;
+use std::sync::{PoisonError, RwLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use mrnet::{launch_local, MetricsSection, MrnetError, NetworkSnapshot, SyncMode, Value};
+use mrnet::obs::metrics::{lookup, MetricKind};
+use mrnet::obs::{trace, tracectx};
+use mrnet::{
+    launch_local, Backend, MetricsExport, MetricsSection, MrnetError, Network, NetworkSnapshot,
+    SyncMode, Value,
+};
 use mrnet_topology::{generator, HostPool};
+
+/// The trace gate is process-global: the traced test holds it
+/// exclusively, the untraced tests share it (poisoned or not).
+static TRACE_GATE: RwLock<()> = RwLock::new(());
 
 fn pool() -> HostPool {
     HostPool::synthetic(64)
 }
 
 const TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Keeps a back-end's connection read until shutdown, so that it
+/// answers introspection requests and clock pings.
+fn pump(be: &Backend) {
+    loop {
+        match be.recv_timeout(Duration::from_millis(100)) {
+            Ok(_) => {}
+            Err(MrnetError::Shutdown) => return,
+            Err(e) => panic!("backend pump failed: {e}"),
+        }
+    }
+}
+
+/// Launches a `balanced(2, 2)` tree, reduces one wave over a `d_sum`
+/// stream to all four back-ends, and leaves their threads pumping.
+fn one_sum_wave() -> (Network, Vec<JoinHandle<()>>) {
+    let dep = launch_local(generator::balanced(2, 2, &mut pool()).unwrap()).unwrap();
+    let net = dep.network.clone();
+    let dsum = net.registry().id_of("d_sum").unwrap();
+    let comm = net.broadcast_communicator();
+    let stream = net.new_stream(&comm, dsum, SyncMode::WaitForAll).unwrap();
+    stream.send(2, "%d", vec![Value::Int32(0)]).unwrap();
+    let handles = dep.backends.into_iter().map(|be| {
+        std::thread::spawn(move || {
+            let (_, sid) = be.recv().unwrap();
+            be.send(sid, 2, "%d", vec![Value::Int32(3)]).unwrap();
+            pump(&be);
+        })
+    });
+    let handles = handles.collect();
+    let result = stream.recv_timeout(TIMEOUT).unwrap();
+    assert_eq!(result.get(0).unwrap().as_i32(), Some(12));
+    (net, handles)
+}
 
 /// Sections for ranks in `ranks`, in snapshot order.
 fn sections_for<'a>(
@@ -23,6 +68,7 @@ fn sections_for<'a>(
 
 #[test]
 fn counters_reconcile_and_introspection_covers_every_node() {
+    let _untraced = TRACE_GATE.read();
     // 2-level binary tree: front-end, 2 internal processes, 4 back-ends.
     let topo = generator::balanced(2, 2, &mut pool()).unwrap();
     let dep = launch_local(topo).unwrap();
@@ -52,13 +98,7 @@ fn counters_reconcile_and_introspection_covers_every_node() {
                 for w in 0..WAVES {
                     be.send(sid, 1, "%d", vec![Value::Int32(w as i32)]).unwrap();
                 }
-                loop {
-                    match be.recv_timeout(Duration::from_millis(100)) {
-                        Ok(_) => {}
-                        Err(MrnetError::Shutdown) => return,
-                        Err(e) => panic!("backend pump failed: {e}"),
-                    }
-                }
+                pump(&be);
             })
         })
         .collect();
@@ -174,35 +214,8 @@ fn counters_reconcile_and_introspection_covers_every_node() {
 
 #[test]
 fn filter_timings_populated_and_introspection_repeats() {
-    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
-    let dep = launch_local(topo).unwrap();
-    let net = dep.network.clone();
-
-    let comm = net.broadcast_communicator();
-    let dsum = net.registry().id_of("d_sum").unwrap();
-    let stream = net.new_stream(&comm, dsum, SyncMode::WaitForAll).unwrap();
-    stream.send(2, "%d", vec![Value::Int32(0)]).unwrap();
-
-    let handles: Vec<_> = dep
-        .backends
-        .into_iter()
-        .map(|be| {
-            std::thread::spawn(move || {
-                let (_, sid) = be.recv().unwrap();
-                be.send(sid, 2, "%d", vec![Value::Int32(3)]).unwrap();
-                loop {
-                    match be.recv_timeout(Duration::from_millis(100)) {
-                        Ok(_) => {}
-                        Err(MrnetError::Shutdown) => return,
-                        Err(e) => panic!("backend pump failed: {e}"),
-                    }
-                }
-            })
-        })
-        .collect();
-
-    let result = stream.recv_timeout(TIMEOUT).unwrap();
-    assert_eq!(result.get(0).unwrap().as_i32(), Some(12));
+    let _untraced = TRACE_GATE.read();
+    let (net, handles) = one_sum_wave();
 
     // Every interior node synchronized and executed the sum filter at
     // least once; the WaitForAll alignment also records wait time.
@@ -245,6 +258,7 @@ fn filter_timings_populated_and_introspection_repeats() {
 
 #[test]
 fn stream_stats_track_queue_and_close() {
+    let _untraced = TRACE_GATE.read();
     let topo = generator::flat(2, &mut pool()).unwrap();
     let dep = launch_local(topo).unwrap();
     let net = dep.network.clone();
@@ -306,6 +320,7 @@ fn stream_stats_track_queue_and_close() {
 /// no sync-wait or exec time for it.
 #[test]
 fn backend_and_root_byte_counts_agree_on_a_relay_stream() {
+    let _untraced = TRACE_GATE.read();
     let topo = generator::balanced(2, 2, &mut pool()).unwrap();
     let dep = launch_local(topo).unwrap();
     let net = dep.network.clone();
@@ -337,13 +352,7 @@ fn backend_and_root_byte_counts_agree_on_a_relay_stream() {
                     )
                     .unwrap();
                 }
-                loop {
-                    match be.recv_timeout(Duration::from_millis(100)) {
-                        Ok(_) => {}
-                        Err(MrnetError::Shutdown) => return,
-                        Err(e) => panic!("backend pump failed: {e}"),
-                    }
-                }
+                pump(&be);
             })
         })
         .collect();
@@ -368,6 +377,54 @@ fn backend_and_root_byte_counts_agree_on_a_relay_stream() {
     assert_eq!(root.get("filter.null.wait_us.count"), Some(0));
     assert_eq!(root.get("filter.null.exec_us.count"), Some(0));
 
+    net.shutdown();
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
+/// Every name a traced tree reports, in its snapshot and in both export
+/// renderings, belongs to the catalogue (`mrnet_obs::metrics::METRICS`);
+/// a histogram's entries belong to their base name.
+#[test]
+fn every_reported_name_is_catalogued() {
+    let _traced = TRACE_GATE.write().unwrap_or_else(PoisonError::into_inner);
+    trace::set_enabled(true);
+    tracectx::set_sample_every(1);
+
+    let (net, handles) = one_sum_wave();
+
+    // Clock estimates arrive as the connect-time pings complete; wait
+    // until the export carries every trace family.
+    let traced = |e: &MetricsExport| {
+        let has = |prefix| e.trace.names.iter().any(|n| n.starts_with(prefix));
+        has("trace.clock.") && has("trace.hop.") && has("trace.edge.")
+    };
+    let deadline = Instant::now() + TIMEOUT;
+    let mut export = net.export_metrics(TIMEOUT).unwrap();
+    while !traced(&export) {
+        assert!(Instant::now() < deadline, "{:?}", export.trace.names);
+        std::thread::sleep(Duration::from_millis(10));
+        export = net.export_metrics(TIMEOUT).unwrap();
+    }
+    let snap = net.metrics_snapshot(TIMEOUT).unwrap();
+    let sections = [&snap.nodes[..], &export.snapshot.nodes, &[export.trace]].concat();
+    let names: Vec<&String> = sections.iter().flat_map(|s| &s.names).collect();
+    for family in ["stream.", "filter.d_sum.wait_us.", "conn.", "trace.waves."] {
+        assert!(names.iter().any(|n| n.starts_with(family)), "no {family}*");
+    }
+    for name in &names {
+        let def = lookup(name).or_else(|| {
+            let (base, suffix) = name.rsplit_once('.')?;
+            let hist = suffix == "count" || suffix == "sum_us" || suffix.starts_with("le_");
+            lookup(base).filter(|d| hist && d.kind == MetricKind::Histogram)
+        });
+        assert!(def.is_some(), "{name} is not catalogued");
+    }
+    // So the export types every metric it renders.
+    assert!(!export.prometheus.contains(" untyped\n"));
+
+    trace::set_enabled(false);
     net.shutdown();
     for h in handles {
         h.join().unwrap();

@@ -71,17 +71,6 @@ pub struct WaveTimeline {
     pub hops: Vec<CorrectedHop>,
 }
 
-impl WaveTimeline {
-    /// End-to-end latency: last corrected send minus first corrected
-    /// receive (saturating; zero for degenerate timelines).
-    pub fn total_us(&self) -> u64 {
-        match (self.hops.first(), self.hops.last()) {
-            (Some(first), Some(last)) => last.send_us.saturating_sub(first.recv_us),
-            _ => 0,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct HistFamilies {
     hops: BTreeMap<u32, Arc<Histogram>>,
@@ -322,7 +311,6 @@ mod tests {
         for w in tl.hops.windows(2) {
             assert!(w[0].send_us <= w[1].recv_us);
         }
-        assert_eq!(tl.total_us(), 300);
         assert_eq!(asm.assembled.get(), 1);
     }
 

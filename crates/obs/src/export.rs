@@ -7,12 +7,15 @@
 //!   histograms pushed via `MetricsSection::push_histogram` are
 //!   detected by their `.count`/`.sum_us`/`.le_*` entry triples and
 //!   re-emitted as proper cumulative `_bucket`/`_sum`/`_count` series.
+//!   `# HELP` and `# TYPE` come from the catalogue
+//!   ([`crate::metrics::METRICS`]); a name it lacks is `untyped`.
 //! * [`json_text`] — a stable hand-rolled JSON document, one object
 //!   per node with the flat name→value map.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use crate::metrics::{lookup, MetricKind};
 use crate::snapshot::{MetricsSection, NetworkSnapshot};
 
 /// Renders the snapshot in the Prometheus text exposition format.
@@ -32,7 +35,7 @@ fn render_section_prometheus(s: &MetricsSection, typed: &mut BTreeSet<String>, o
     for base in &bases {
         let metric = sanitize(base);
         if typed.insert(metric.clone()) {
-            let _ = writeln!(out, "# TYPE {metric} histogram");
+            write_header(out, &metric, base, true);
         }
         let mut cum = 0u64;
         let mut saw_inf = false;
@@ -67,10 +70,27 @@ fn render_section_prometheus(s: &MetricsSection, typed: &mut BTreeSet<String>, o
         }
         let metric = sanitize(name);
         if typed.insert(metric.clone()) {
-            let _ = writeln!(out, "# TYPE {metric} untyped");
+            write_header(out, &metric, name, false);
         }
         let _ = writeln!(out, "{metric}{{rank=\"{rank}\"}} {value}");
     }
+}
+
+/// Writes the `# HELP` and `# TYPE` lines of `metric`, the exported
+/// form of `name`, from `name`'s catalogue entry. Without one (or with
+/// one of another shape), it has no help and is `untyped`, or a
+/// `histogram` if it was pushed as one.
+fn write_header(out: &mut String, metric: &str, name: &str, histogram: bool) {
+    let def = lookup(name).filter(|d| (d.kind == MetricKind::Histogram) == histogram);
+    if let Some(def) = def {
+        let _ = writeln!(out, "# HELP {metric} {}", def.help);
+    }
+    let kind = match def {
+        Some(def) => def.kind.prometheus_type(),
+        None if histogram => "histogram",
+        None => "untyped",
+    };
+    let _ = writeln!(out, "# TYPE {metric} {kind}");
 }
 
 /// Base names pushed as histograms: every `X` with both `X.count` and
@@ -171,7 +191,7 @@ mod tests {
     #[test]
     fn prometheus_renders_scalars_with_rank_labels() {
         let text = prometheus_text(&sample_snapshot());
-        assert!(text.contains("# TYPE mrnet_up_pkts_sent untyped\n"));
+        assert!(text.contains("# TYPE mrnet_up_pkts_sent counter\n"));
         assert!(text.contains("mrnet_up_pkts_sent{rank=\"0\"} 12\n"));
         assert!(text.contains("mrnet_up_pkts_sent{rank=\"3\"} 7\n"));
         // The TYPE line appears once, not per rank.
@@ -179,9 +199,36 @@ mod tests {
     }
 
     #[test]
+    fn prometheus_takes_help_and_type_from_the_catalogue() {
+        let mut s = MetricsSection::new(1);
+        s.push("loop.turns", 3);
+        s.push("conn.4.send.queue_depth", 5);
+        s.push("tool.samples", 9);
+        s.push_histogram("batch.pkts", &HistogramSnapshot::empty());
+        let text = prometheus_text(&NetworkSnapshot { nodes: vec![s] });
+        let header = |metric: &str, name: &str, kind: &str| {
+            let help = crate::metrics::lookup(name).unwrap().help;
+            format!("# HELP mrnet_{metric} {help}\n# TYPE mrnet_{metric} {kind}\n")
+        };
+        assert!(text.contains(&header("loop_turns", "loop.turns", "counter")));
+        let conn = header(
+            "conn_4_send_queue_depth",
+            "conn.<rank>.send.queue_depth",
+            "gauge",
+        );
+        assert!(text.contains(&conn));
+        assert!(text.contains(&header("batch_pkts", "batch.pkts", "histogram")));
+        // A name the catalogue lacks is untyped and has no help.
+        assert!(text.contains("\n# TYPE mrnet_tool_samples untyped\nmrnet_tool_samples{"));
+        assert_eq!(text.matches("# HELP").count(), 3);
+    }
+
+    #[test]
     fn prometheus_histograms_are_cumulative_with_inf() {
         let text = prometheus_text(&sample_snapshot());
+        // Not catalogued: typed by its shape, with no help.
         assert!(text.contains("# TYPE mrnet_wait_us histogram\n"));
+        assert!(!text.contains("# HELP mrnet_wait_us"));
         assert!(text.contains("mrnet_wait_us_bucket{rank=\"0\",le=\"2\"} 2\n"));
         assert!(text.contains("mrnet_wait_us_bucket{rank=\"0\",le=\"1024\"} 3\n"));
         assert!(text.contains("mrnet_wait_us_bucket{rank=\"0\",le=\"+Inf\"} 4\n"));

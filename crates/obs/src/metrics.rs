@@ -255,86 +255,190 @@ pub struct FilterStats {
     pub exec_us: Histogram,
 }
 
-/// The per-node metrics registry: one per overlay process (front-end,
-/// internal, or back-end), shared via `Arc` between the node loop,
-/// stream managers, and the public API.
-#[derive(Debug, Default)]
-pub struct NodeMetrics {
-    /// Packets this node sent toward the root (to its parent, or into
-    /// local delivery at the root itself).
-    pub up_pkts_sent: Counter,
-    /// Packets this node received from below (from its children).
-    pub up_pkts_recv: Counter,
-    /// Packets this node sent away from the root (to its children, or
-    /// into local delivery at a back-end).
-    pub down_pkts_sent: Counter,
-    /// Packets this node received from above (from its parent).
-    pub down_pkts_recv: Counter,
-    /// Encoded bytes of upstream packets delivered locally at the
-    /// root, which has no parent connection to count them on.
-    pub local_up_bytes: Counter,
-    /// Messages (commands + frames) in the inbox batch this node's
-    /// loop drained last.
-    pub queue_depth: Gauge,
-    /// Packets per flushed batch frame (batching amortizes the §4
-    /// per-frame cost).
-    pub batch_pkts: Histogram,
-    /// Directly-connected peers this node confirmed dead (EOF,
-    /// mid-frame loss, missed heartbeats, or garbage frames).
-    pub peer_deaths: Counter,
-    /// Connection attempts that needed at least one retry to succeed
-    /// (the process-mode connect-back race; sums retries, not sockets).
-    pub connect_retries: Counter,
-    /// Stream-prune operations: streams whose membership shrank at
-    /// this node because an end-point failed.
-    pub pruned_streams: Counter,
-    /// Topology events (rank failures) this node delivered to its
-    /// local tool thread.
-    pub events_delivered: Counter,
-    /// Frames queued behind this node's per-connection writer threads,
-    /// summed across connections at the last refresh.
-    pub send_queue_depth: Gauge,
-    /// Frames that shared a transmit syscall with at least one other
-    /// frame (vectored-write coalescing), summed across connections.
-    pub send_coalesced: Gauge,
-    /// Sends that found an outbound queue at capacity, summed across
-    /// connections — sustained growth means a peer reads slower than
-    /// this node produces.
-    pub send_stalls: Gauge,
-    /// Batched data frames this node encoded when flushing toward its
-    /// parent or children (introspection frames are not counted).
-    pub frames_encoded: Counter,
-    /// Child sends satisfied by a frame another child's flush already
-    /// encoded (encode-once multicast): `frames_encoded +
-    /// frames_shared` = data frames actually sent downstream.
-    pub frames_shared: Counter,
-    /// Data frames this node sent carrying a trace-envelope trailer.
-    /// Stays at zero for untraced runs — the wire carries zero trailer
-    /// bytes.
-    pub trace_frames: Counter,
-    /// Hop records this node stamped into passing trace envelopes.
-    pub trace_hops: Counter,
-    /// Packets this node forwarded (or delivered) still in their raw
-    /// wire form — no payload decode, no re-encode, the outbound bytes
-    /// are the inbound bytes (the lazy relay fast path).
-    pub pkts_lazy_relayed: Counter,
-    /// Wire-arrived packets whose payload a transformation filter on
-    /// this node materialized (decoded). A pure relay keeps this at
-    /// zero.
-    pub pkts_decoded: Counter,
-    /// Turns this node's loop ran: inbox drains, each followed by due
-    /// timers and one flush.
-    pub loop_turns: Counter,
-    /// Turns of this node run by another node's thread, which made the
-    /// node ready during its own turn (hand-off by execution).
-    pub loop_turns_adopted: Counter,
-    /// Times a thread that runs no turns (a tool thread, a TCP reader,
-    /// the front-end API) made this node ready and unparked its owner
-    /// thread to run the turn.
-    pub loop_owner_wakes: Counter,
-    streams: Mutex<BTreeMap<u32, Arc<StreamCounters>>>,
-    filters: Mutex<BTreeMap<String, Arc<FilterStats>>>,
-    conns: Mutex<BTreeMap<u32, ConnSendStats>>,
+/// The instrument behind a metric, which its Prometheus `# TYPE` names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A [`Counter`].
+    Counter,
+    /// A [`Gauge`]; snapshots report a level below zero as 0.
+    Gauge,
+    /// A [`Histogram`], carried as `<name>.count`, `.sum_us` and `.le_*`.
+    Histogram,
+}
+
+impl MetricKind {
+    /// The Prometheus type name.
+    pub fn prometheus_type(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        }
+    }
+}
+
+/// One entry of the metric catalogue [`METRICS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricDef {
+    /// The dotted name snapshots carry, or a template for a family:
+    /// `stream.<id>.up.pkts` covers `stream.7.up.pkts`.
+    pub name: &'static str,
+    /// The instrument kind.
+    pub kind: MetricKind,
+    /// One line on what the metric counts; the Prometheus `# HELP` text.
+    pub help: &'static str,
+}
+
+/// The catalogue entry whose name or template `name` fits, if any; a
+/// placeholder stands for one or more characters. A histogram is found
+/// by its base name, without the `.count`/`.sum_us`/`.le_*` suffixes.
+pub fn lookup(name: &str) -> Option<&'static MetricDef> {
+    METRICS.iter().find(|d| fits(d.name, name))
+}
+
+fn fits(template: &str, name: &str) -> bool {
+    let Some(open) = template.find('<') else {
+        return template == name;
+    };
+    let Some(rest) = name.strip_prefix(&template[..open]) else {
+        return false;
+    };
+    let tail = template[open..]
+        .find('>')
+        .map_or("", |close| &template[open + close + 1..]);
+    (1..=rest.len()).any(|i| rest.is_char_boundary(i) && fits(tail, &rest[i..]))
+}
+
+/// Declares every metric once. A `field: Kind, "name", "help";` row
+/// under `fields` makes a `NodeMetrics` field of the instrument type
+/// `Kind` (the help is its doc), its snapshot entry and its [`METRICS`]
+/// entry; a `Kind, "template", "help";` row under `families` catalogues
+/// names that code pushes by hand.
+macro_rules! metrics {
+    // How a snapshot flattens each instrument type: the scalars in one
+    // pass, the histograms in a second.
+    (@scalar $s:ident, Counter, $v:expr, $name:literal) => { $s.push($name, $v.get()) };
+    (@scalar $s:ident, Gauge, $v:expr, $name:literal) => { $s.push($name, $v.get().max(0) as u64) };
+    (@scalar $($histogram:tt)*) => {};
+    (@histogram $s:ident, Histogram, $v:expr, $name:literal) => {
+        $s.push_histogram($name, &$v.snapshot())
+    };
+    (@histogram $($scalar:tt)*) => {};
+    (
+        fields { $($field:ident: $ty:ident, $name:literal, $help:literal;)* }
+        families { $($kind:ident, $template:literal, $fhelp:literal;)* }
+    ) => {
+        /// The per-node metrics registry: one per overlay process
+        /// (front-end, internal, or back-end), shared via `Arc` between
+        /// the node loop, stream managers, and the public API.
+        #[derive(Debug, Default)]
+        pub struct NodeMetrics {
+            $(#[doc = $help] pub $field: $ty,)*
+            streams: Mutex<BTreeMap<u32, Arc<StreamCounters>>>,
+            filters: Mutex<BTreeMap<String, Arc<FilterStats>>>,
+            conns: Mutex<BTreeMap<u32, ConnSendStats>>,
+        }
+
+        /// Every metric a snapshot or an export carries: the [`NodeMetrics`]
+        /// fields, then the families pushed by hand (per stream, filter and
+        /// connection, and by the front-end's trace assembler). DESIGN.md
+        /// §8 has one row per entry.
+        pub const METRICS: &[MetricDef] = &[
+            $(MetricDef { name: $name, kind: MetricKind::$ty, help: $help },)*
+            $(MetricDef { name: $template, kind: MetricKind::$kind, help: $fhelp },)*
+        ];
+
+        impl NodeMetrics {
+            /// Pushes every field: scalars in table order, then histograms.
+            fn push_fields(&self, s: &mut MetricsSection) {
+                $(metrics!(@scalar s, $ty, self.$field, $name);)*
+                $(metrics!(@histogram s, $ty, self.$field, $name);)*
+            }
+        }
+    };
+}
+
+metrics! {
+    fields {
+        up_pkts_sent: Counter, "up.pkts.sent",
+            "Packets sent toward the root: to the parent, or into local delivery at the root.";
+        up_pkts_recv: Counter, "up.pkts.recv",
+            "Packets received from the children.";
+        down_pkts_sent: Counter, "down.pkts.sent",
+            "Packets sent away from the root: to the children, or delivered at a back-end.";
+        down_pkts_recv: Counter, "down.pkts.recv",
+            "Packets received from the parent.";
+        local_up_bytes: Counter, "up.bytes.local",
+            "Encoded bytes of the upstream packets a back-end sent or the root delivered.";
+        queue_depth: Gauge, "queue.depth",
+            "Messages (commands and frames) in the inbox batch the loop drained last.";
+        batch_pkts: Histogram, "batch.pkts",
+            "Packets per flushed batch frame (batching amortizes the per-frame cost).";
+        peer_deaths: Counter, "peer.deaths",
+            "Directly connected peers declared dead: EOF, lost frame, silence or garbage.";
+        connect_retries: Counter, "connect.retries",
+            "Extra connect attempts needed before a connection succeeded.";
+        pruned_streams: Counter, "streams.pruned",
+            "Streams whose membership shrank here because an end-point failed.";
+        events_delivered: Counter, "events.delivered",
+            "Topology events (rank failures) delivered to the local tool thread.";
+        send_queue_depth: Gauge, "send.queue_depth",
+            "Frames queued behind the writer threads of the live children's connections.";
+        send_coalesced: Gauge, "send.coalesced_frames",
+            "Frames that shared a write syscall with another frame, over the live children.";
+        send_stalls: Gauge, "send.enqueue_stalls",
+            "Sends that found an outbound queue full, over the live children.";
+        frames_encoded: Counter, "frames.encoded",
+            "Batched data frames encoded when flushing toward the parent or children.";
+        frames_shared: Counter, "frames.shared",
+            "Child sends that reused a frame another child's flush encoded (encode once).";
+        trace_frames: Counter, "trace.frames",
+            "Data frames sent with a trace-envelope trailer; zero when untraced.";
+        trace_hops: Counter, "trace.hops",
+            "Hop records stamped into passing trace envelopes.";
+        pkts_lazy_relayed: Counter, "pkts.lazy_relayed",
+            "Packets forwarded or delivered still in their raw wire form (lazy relay).";
+        pkts_decoded: Counter, "pkts.decoded",
+            "Wire-arrived packets whose payload a transformation filter here decoded.";
+        loop_turns: Counter, "loop.turns",
+            "Turns of the node loop: one inbox drain, the due timers and one flush each.";
+        loop_turns_adopted: Counter, "loop.turns_adopted",
+            "Turns run by another node's thread whose own turn made this node ready.";
+        loop_owner_wakes: Counter, "loop.owner_wakes",
+            "Times a thread that runs no turns made the node ready and woke its owner.";
+    }
+    families {
+        Counter, "stream.<id>.up.pkts",
+            "Upstream packets forwarded (delivered, at the root) on stream <id>.";
+        Counter, "stream.<id>.down.pkts",
+            "Downstream packets forwarded (delivered, at a back-end) on stream <id>.";
+        Counter, "filter.<name>.waves",
+            "Synchronization waves released through filter <name>.";
+        Histogram, "filter.<name>.wait_us",
+            "Microseconds from a wave's first packet to its release by the sync filter.";
+        Histogram, "filter.<name>.exec_us",
+            "Microseconds spent inside transformation filter <name>.";
+        Gauge, "conn.<rank>.send.queue_depth",
+            "Frames queued behind the writer of the connection to child <rank>.";
+        Counter, "conn.<rank>.send.coalesced_frames",
+            "Frames to child <rank> that shared a write syscall with another frame.";
+        Counter, "conn.<rank>.send.enqueue_stalls",
+            "Sends to child <rank> that found its outbound queue full.";
+        Counter, "trace.waves.assembled",
+            "Trace envelopes the front-end assembled into wave timelines.";
+        Counter, "trace.waves.dropped",
+            "Trace envelopes the front-end dropped as malformed (no hops).";
+        Gauge, "trace.clock.<rank>.ahead_us",
+            "Microseconds rank <rank>'s clock runs ahead of the front-end's.";
+        Gauge, "trace.clock.<rank>.behind_us",
+            "Microseconds rank <rank>'s clock runs behind the front-end's.";
+        Gauge, "trace.clock.<rank>.rtt_us",
+            "Round trip (µs) of the ping behind rank <rank>'s clock estimate.";
+        Histogram, "trace.hop.<rank>.us",
+            "Microseconds traced waves dwelled inside rank <rank>.";
+        Histogram, "trace.edge.<from>_<to>.us",
+            "Microseconds traced waves took from rank <from> to rank <to>.";
+    }
 }
 
 impl NodeMetrics {
@@ -377,35 +481,7 @@ impl NodeMetrics {
     /// for `rank`.
     pub fn snapshot(&self, rank: u32) -> MetricsSection {
         let mut s = MetricsSection::new(rank);
-        s.push("up.pkts.sent", self.up_pkts_sent.get());
-        s.push("up.pkts.recv", self.up_pkts_recv.get());
-        s.push("down.pkts.sent", self.down_pkts_sent.get());
-        s.push("down.pkts.recv", self.down_pkts_recv.get());
-        s.push("up.bytes.local", self.local_up_bytes.get());
-        s.push("queue.depth", self.queue_depth.get().max(0) as u64);
-        s.push("peer.deaths", self.peer_deaths.get());
-        s.push("connect.retries", self.connect_retries.get());
-        s.push("streams.pruned", self.pruned_streams.get());
-        s.push("events.delivered", self.events_delivered.get());
-        s.push(
-            "send.queue_depth",
-            self.send_queue_depth.get().max(0) as u64,
-        );
-        s.push(
-            "send.coalesced_frames",
-            self.send_coalesced.get().max(0) as u64,
-        );
-        s.push("send.enqueue_stalls", self.send_stalls.get().max(0) as u64);
-        s.push("frames.encoded", self.frames_encoded.get());
-        s.push("frames.shared", self.frames_shared.get());
-        s.push("trace.frames", self.trace_frames.get());
-        s.push("trace.hops", self.trace_hops.get());
-        s.push("pkts.lazy_relayed", self.pkts_lazy_relayed.get());
-        s.push("pkts.decoded", self.pkts_decoded.get());
-        s.push("loop.turns", self.loop_turns.get());
-        s.push("loop.turns_adopted", self.loop_turns_adopted.get());
-        s.push("loop.owner_wakes", self.loop_owner_wakes.get());
-        s.push_histogram("batch.pkts", &self.batch_pkts.snapshot());
+        self.push_fields(&mut s);
         for (id, c) in self.streams.lock().unpoisoned().iter() {
             s.push(&format!("stream.{id}.up.pkts"), c.up_pkts.get());
             s.push(&format!("stream.{id}.down.pkts"), c.down_pkts.get());
@@ -600,61 +676,95 @@ mod tests {
     fn node_metrics_snapshot_flattens_everything() {
         let m = NodeMetrics::new();
         m.up_pkts_sent.add(4);
-        m.down_pkts_recv.add(2);
-        let sc = m.stream_counters(1);
-        sc.up_pkts.add(4);
+        m.send_queue_depth.set(-3);
+        m.stream_counters(1).up_pkts.add(4);
         // Second lookup returns the same instrument.
         assert_eq!(m.stream_counters(1).up_pkts.get(), 4);
-        let fs = m.filter_stats("sum_u32");
-        fs.waves.inc();
-        fs.exec_us.record_us(10);
-        m.peer_deaths.inc();
-        m.pruned_streams.add(2);
-        m.send_coalesced.set(5);
-        m.frames_encoded.add(7);
-        m.frames_shared.add(3);
-        m.trace_frames.add(2);
-        m.trace_hops.add(6);
-        m.pkts_lazy_relayed.add(40);
-        m.pkts_decoded.add(9);
-        m.loop_turns.add(12);
-        m.loop_turns_adopted.add(5);
-        m.loop_owner_wakes.add(6);
-        m.set_conn_send_stats(
-            9,
-            ConnSendStats {
-                queue_depth: 11,
-                coalesced: 4,
-                stalls: 1,
-            },
-        );
+        m.filter_stats("sum_u32").exec_us.record_us(10);
+        let conn = ConnSendStats {
+            queue_depth: 11,
+            coalesced: 4,
+            stalls: 1,
+        };
+        m.set_conn_send_stats(9, conn);
         let s = m.snapshot(3);
         assert_eq!(s.rank, 3);
+        // Every field's entry, under its catalogue name and kind.
+        for def in METRICS.iter().filter(|d| !d.name.contains('<')) {
+            let entry = match def.kind {
+                MetricKind::Histogram => format!("{}.count", def.name),
+                _ => def.name.to_string(),
+            };
+            let field = !def.name.starts_with("trace.waves.");
+            assert_eq!(s.get(&entry).is_some(), field, "{entry}");
+            assert_eq!(lookup(&entry).is_some(), def.kind != MetricKind::Histogram);
+        }
+        assert_eq!(s.get("up.pkts.sent"), Some(4));
+        // A gauge below zero reads 0.
         assert_eq!(s.get("send.queue_depth"), Some(0));
-        assert_eq!(s.get("send.coalesced_frames"), Some(5));
-        assert_eq!(s.get("send.enqueue_stalls"), Some(0));
-        assert_eq!(s.get("frames.encoded"), Some(7));
-        assert_eq!(s.get("frames.shared"), Some(3));
-        assert_eq!(s.get("trace.frames"), Some(2));
-        assert_eq!(s.get("trace.hops"), Some(6));
+        assert_eq!(s.get("stream.1.up.pkts"), Some(4));
+        assert_eq!(s.get("stream.1.down.pkts"), Some(0));
+        assert_eq!(s.get("filter.sum_u32.waves"), Some(0));
+        assert_eq!(s.get("filter.sum_u32.exec_us.count"), Some(1));
         assert_eq!(s.get("conn.9.send.queue_depth"), Some(11));
         assert_eq!(s.get("conn.9.send.coalesced_frames"), Some(4));
         assert_eq!(s.get("conn.9.send.enqueue_stalls"), Some(1));
-        assert_eq!(s.get("peer.deaths"), Some(1));
-        assert_eq!(s.get("connect.retries"), Some(0));
-        assert_eq!(s.get("streams.pruned"), Some(2));
-        assert_eq!(s.get("events.delivered"), Some(0));
-        assert_eq!(s.get("up.pkts.sent"), Some(4));
-        assert_eq!(s.get("down.pkts.recv"), Some(2));
-        assert_eq!(s.get("stream.1.up.pkts"), Some(4));
-        assert_eq!(s.get("stream.1.down.pkts"), Some(0));
-        assert_eq!(s.get("filter.sum_u32.waves"), Some(1));
-        assert_eq!(s.get("filter.sum_u32.exec_us.count"), Some(1));
-        assert_eq!(s.get("pkts.lazy_relayed"), Some(40));
-        assert_eq!(s.get("pkts.decoded"), Some(9));
-        assert_eq!(s.get("loop.turns"), Some(12));
-        assert_eq!(s.get("loop.turns_adopted"), Some(5));
-        assert_eq!(s.get("loop.owner_wakes"), Some(6));
-        assert_eq!(s.get("no.such.metric"), None);
+        // Scalars first, then histograms; the families last.
+        let hist = s.names.iter().position(|n| n == "batch.pkts.count");
+        let hist = hist.unwrap();
+        assert_eq!(s.names[hist - 1], "loop.owner_wakes");
+        assert_eq!(s.names[hist + 2], "stream.1.up.pkts");
+    }
+
+    #[test]
+    fn lookup_fits_templates_and_names_are_unique() {
+        assert!(fits("trace.edge.<from>_<to>.us", "trace.edge.12_3.us"));
+        assert!(!fits("trace.edge.<from>_<to>.us", "trace.edge._3.us"));
+        assert!(!fits("stream.<id>.up.pkts", "stream.1.up.pkts.count"));
+        assert!(fits("filter.<name>.waves", "filter.my.tool.waves"));
+        assert!(!fits("filter.<name>.waves", "filter..waves"));
+        let kind = |name| lookup(name).map(|d| d.kind);
+        assert_eq!(kind("conn.3.send.queue_depth"), Some(MetricKind::Gauge));
+        assert_eq!(kind("send.queue_depth"), Some(MetricKind::Gauge));
+        assert_eq!(kind("up.pkts"), None);
+        for (i, d) in METRICS.iter().enumerate() {
+            assert!(METRICS[..i].iter().all(|e| e.name != d.name), "{}", d.name);
+            assert!(!d.help.is_empty() && !d.help.contains(['\n', '\\']));
+        }
+    }
+
+    /// DESIGN.md §8 documents the catalogue in one table, one
+    /// `` | `name` | kind | meaning | `` row per [`METRICS`] entry.
+    #[test]
+    fn design_table_lists_the_catalogue() {
+        let design = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"));
+        let (_, section) = design.split_once("\n## 8. ").unwrap();
+        let (section, _) = section.split_once("\n## ").unwrap();
+        let (_, table) = section.split_once("\n| name | kind | meaning |\n").unwrap();
+        let row = |line: &'static str| {
+            let mut cells = line.split('|').skip(1).map(str::trim);
+            let name = cells.next().unwrap_or("").trim_matches('`');
+            (name, cells.next().unwrap_or(""))
+        };
+        let mut rows: Vec<_> = table
+            .lines()
+            .skip(1)
+            .take_while(|l| l.starts_with('|'))
+            .map(row)
+            .collect();
+        let mut want: Vec<_> = METRICS
+            .iter()
+            .map(|d| (d.name, d.kind.prometheus_type()))
+            .collect();
+        rows.sort_unstable();
+        want.sort_unstable();
+        let missing: Vec<_> = want.iter().filter(|w| !rows.contains(w)).collect();
+        let extra: Vec<_> = rows.iter().filter(|r| !want.contains(r)).collect();
+        assert!(missing.is_empty(), "DESIGN §8 lacks {missing:?}");
+        assert!(
+            extra.is_empty(),
+            "DESIGN §8 has {extra:?}, which METRICS lacks"
+        );
+        assert_eq!(rows, want, "a DESIGN §8 row appears twice");
     }
 }

@@ -126,15 +126,6 @@ impl<W> Sim<W> {
         self.sched.at(at, handler);
     }
 
-    /// Schedules an initial event `delay` seconds from now.
-    pub fn schedule_after(
-        &mut self,
-        delay: SimTime,
-        handler: impl FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    ) {
-        self.sched.after(delay, handler);
-    }
-
     /// Runs one event; returns false when the queue is empty.
     pub fn step(&mut self) -> bool {
         match self.sched.queue.pop() {

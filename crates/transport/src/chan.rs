@@ -275,16 +275,14 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Waits until the queue holds a message, or until `deadline`
-    /// (forever if `None`), and returns the lock.
-    fn wait_nonempty(
-        &self,
-        deadline: Option<Instant>,
-    ) -> Result<MutexGuard<'_, State<T>>, RecvTimeoutError> {
+    /// Takes the front message, waiting for one until `deadline`
+    /// (forever if `None`).
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
         let mut st = self.inner.lock();
         loop {
-            if !st.queue.is_empty() {
-                return Ok(st);
+            if let Some(msg) = st.queue.pop_front() {
+                self.inner.cv.notify_all();
+                return Ok(msg);
             }
             if st.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
@@ -294,13 +292,6 @@ impl<T> Receiver<T> {
             }
             st = self.inner.cv.wait(st, deadline);
         }
-    }
-
-    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
-        let mut st = self.wait_nonempty(deadline)?;
-        let msg = st.queue.pop_front().expect("queue is non-empty");
-        self.inner.cv.notify_all();
-        Ok(msg)
     }
 
     /// Receives a message, blocking until one arrives or every
@@ -324,17 +315,19 @@ impl<T> Receiver<T> {
     }
 
     /// Moves every queued message to the back of `out`, in order, under
-    /// one lock, waiting until `deadline` (forever if `None`) while the
-    /// queue is empty. An empty `out` trades buffers with the channel,
-    /// so a consumer that empties `out` before each call moves no
-    /// message and allocates nothing. `Disconnected` only once every
-    /// sender is gone and the queue is drained.
-    pub fn recv_all(
-        &self,
-        out: &mut VecDeque<T>,
-        deadline: Option<Instant>,
-    ) -> Result<(), RecvTimeoutError> {
-        let mut st = self.wait_nonempty(deadline)?;
+    /// one lock, without waiting: an empty queue moves nothing. An empty
+    /// `out` trades buffers with the channel, so a consumer that empties
+    /// `out` before each call moves no message and allocates nothing.
+    /// `Err` only once every sender is gone and the queue is drained.
+    pub fn recv_all(&self, out: &mut VecDeque<T>) -> Result<(), RecvError> {
+        let mut st = self.inner.lock();
+        if st.queue.is_empty() {
+            return if st.senders == 0 {
+                Err(RecvError)
+            } else {
+                Ok(())
+            };
+        }
         if out.is_empty() {
             std::mem::swap(&mut st.queue, out);
         } else {
@@ -374,33 +367,17 @@ pub(crate) mod tests {
             tx.send(i).unwrap();
         }
         let mut out = VecDeque::new();
-        rx.recv_all(&mut out, None).unwrap();
+        rx.recv_all(&mut out).unwrap();
         assert_eq!(out, [0, 1, 2, 3, 4]);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         // A non-empty `out` keeps its contents; new messages go behind.
         tx.send(5).unwrap();
         tx.send(6).unwrap();
-        rx.recv_all(&mut out, None).unwrap();
+        rx.recv_all(&mut out).unwrap();
         assert_eq!(out, [0, 1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn recv_all_times_out_empty() {
-        let (_tx, rx) = unbounded::<u32>();
-        let mut out = VecDeque::new();
-        let start = Instant::now();
-        let deadline = start + Duration::from_millis(20);
-        assert_eq!(
-            rx.recv_all(&mut out, Some(deadline)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        assert!(Instant::now() >= deadline);
-        assert!(out.is_empty());
-        // A deadline already past returns at once.
-        assert_eq!(
-            rx.recv_all(&mut out, Some(start)),
-            Err(RecvTimeoutError::Timeout)
-        );
+        // An empty queue returns at once and moves nothing.
+        rx.recv_all(&mut out).unwrap();
+        assert_eq!(out, [0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -410,29 +387,11 @@ pub(crate) mod tests {
         tx.send(2).unwrap();
         drop(tx);
         let mut out = VecDeque::new();
-        rx.recv_all(&mut out, None).unwrap();
+        rx.recv_all(&mut out).unwrap();
         assert_eq!(out, [1, 2]);
         out.clear();
-        assert_eq!(
-            rx.recv_all(&mut out, None),
-            Err(RecvTimeoutError::Disconnected)
-        );
+        assert_eq!(rx.recv_all(&mut out), Err(RecvError));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn recv_all_wakes_a_blocked_receiver() {
-        let (tx, rx) = unbounded();
-        let probe = rx.clone();
-        let h = thread::spawn(move || {
-            let mut out = VecDeque::new();
-            rx.recv_all(&mut out, None).map(|()| out)
-        });
-        while probe.inner.cv.parked() == 0 {
-            thread::sleep(Duration::from_millis(1));
-        }
-        tx.send(7).unwrap();
-        assert_eq!(h.join().unwrap().unwrap(), [7]);
     }
 
     #[test]
@@ -447,12 +406,12 @@ pub(crate) mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         let mut out = VecDeque::new();
-        rx.recv_all(&mut out, None).unwrap();
+        rx.recv_all(&mut out).unwrap();
         assert_eq!(out, [0, 1]);
         let sent = done_rx.recv_timeout(Duration::from_secs(5));
         assert_eq!(sent, Ok(Ok(())), "the parked producer never woke");
         out.clear();
-        rx.recv_all(&mut out, None).unwrap();
+        rx.recv_all(&mut out).unwrap();
         assert_eq!(out, [2]);
     }
 

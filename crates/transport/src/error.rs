@@ -37,18 +37,6 @@ impl fmt::Display for TransportError {
     }
 }
 
-impl TransportError {
-    /// Whether this error means the peer is definitively unreachable
-    /// (closed, dead, or failed at the socket level) as opposed to a
-    /// transient condition like [`TransportError::Timeout`].
-    pub fn is_peer_loss(&self) -> bool {
-        matches!(
-            self,
-            TransportError::Closed | TransportError::PeerGone(_) | TransportError::Io(_)
-        )
-    }
-}
-
 impl std::error::Error for TransportError {}
 
 impl From<std::io::Error> for TransportError {

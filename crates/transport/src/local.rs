@@ -18,8 +18,7 @@ use mrnet_packet::Packet;
 
 use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::connection::{
-    BoxedConnection, BoxedListener, ConnCounters, ConnStats, Connection, FrameSink, Listener,
-    PacketFrame,
+    BoxedConnection, ConnCounters, ConnStats, Connection, FrameSink, Listener, PacketFrame,
 };
 use crate::error::{Result, TransportError};
 use crate::incoming::Incoming;
@@ -199,11 +198,6 @@ impl LocalListener {
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(TransportError::Closed),
         }
-    }
-
-    /// Boxes this listener.
-    pub fn boxed(self) -> BoxedListener {
-        Box::new(self)
     }
 }
 

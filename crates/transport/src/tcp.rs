@@ -45,7 +45,7 @@ use mrnet_packet::bytes::Bytes;
 
 use crate::chan::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use crate::connection::{
-    BoxedConnection, BoxedListener, ConnCounters, ConnStats, Connection, FrameSink, Listener,
+    BoxedConnection, ConnCounters, ConnStats, Connection, FrameSink, Listener,
 };
 use crate::error::{Result, TransportError};
 use crate::incoming::Incoming;
@@ -72,7 +72,7 @@ const HEARTBEAT_MISSES: u32 = 3;
 const INBOUND_DEPTH: usize = 1024;
 
 /// Environment variable overriding the outbound send-queue depth in
-/// frames (default [`SEND_QUEUE_DEPTH`]). A blocking send only stalls
+/// frames (default 1024). A blocking send only stalls
 /// the caller once this many frames are queued behind the writer
 /// thread.
 pub const SEND_QUEUE_ENV: &str = "MRNET_SEND_QUEUE";
@@ -505,11 +505,6 @@ impl TcpTransportListener {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?.to_string();
         Ok(TcpTransportListener { listener, addr })
-    }
-
-    /// Boxes this listener.
-    pub fn boxed(self) -> BoxedListener {
-        Box::new(self)
     }
 }
 

@@ -16,7 +16,9 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mrnet_packet::bytes::Bytes;
-use mrnet_transport::{Connection, Listener, TcpConnection, TcpTransportListener, SEND_QUEUE_ENV};
+use mrnet_transport::{
+    Connection, Listener, TcpConnection, TcpTransportListener, TransportError, SEND_QUEUE_ENV,
+};
 
 /// The send-queue depth the tests pin through `MRNET_SEND_QUEUE`.
 const DEPTH: u64 = 8;
@@ -187,7 +189,10 @@ fn writer_detects_peer_gone_and_accounting_stays_honest() {
         std::thread::sleep(Duration::from_millis(10));
     };
     assert!(
-        err.is_peer_loss(),
+        matches!(
+            err,
+            TransportError::Closed | TransportError::PeerGone(_) | TransportError::Io(_)
+        ),
         "expected a peer-loss error, got {err:?}"
     );
 
