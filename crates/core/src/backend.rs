@@ -5,7 +5,7 @@
 //! receives that yield both the data and the stream it arrived on, and
 //! sends scalar values upstream on those streams.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -17,7 +17,7 @@ use mrnet_packet::{Packet, Rank, StreamId, Value};
 use mrnet_transport::{LocalFabric, RetryPolicy, SharedConnection};
 
 use crate::error::{MrnetError, Result};
-use crate::event::TopologyEvent;
+use crate::event::{FailureLedger, TopologyEvent};
 use crate::introspect::{self, METRICS_REQUEST, METRICS_STREAM};
 use crate::proto::{decode_frame, encode_data_frame, encode_traced_data_frame, Control, Frame};
 
@@ -32,10 +32,9 @@ pub struct Backend {
     down: AtomicBool,
     metrics: Arc<NodeMetrics>,
     /// Topology events relayed down the tree, queued until the tool
-    /// polls [`Backend::try_next_event`].
-    events: Mutex<VecDeque<TopologyEvent>>,
-    /// Cumulative set of ranks reported failed.
-    failed: Mutex<BTreeSet<Rank>>,
+    /// polls [`Backend::try_next_event`], and every rank reported
+    /// failed.
+    ledger: FailureLedger,
     /// Decides which upstream sends originate a sampled trace wave.
     sampler: TraceSampler,
 }
@@ -58,8 +57,7 @@ impl Backend {
             pending: Mutex::new(VecDeque::new()),
             down: AtomicBool::new(false),
             metrics: Arc::new(NodeMetrics::new()),
-            events: Mutex::new(VecDeque::new()),
-            failed: Mutex::new(BTreeSet::new()),
+            ledger: FailureLedger::new(),
             sampler: TraceSampler::new(),
         })
     }
@@ -177,14 +175,7 @@ impl Backend {
                         // so this back-end can adapt (e.g. note that a
                         // sibling will never contribute again).
                         self.metrics.events_delivered.inc();
-                        let mut failed = self.failed.lock().unpoisoned();
-                        failed.insert(rank);
-                        failed.extend(subtree.iter().copied());
-                        drop(failed);
-                        self.events
-                            .lock()
-                            .unpoisoned()
-                            .push_back(TopologyEvent::RankFailed { rank, subtree });
+                        self.ledger.report(rank, subtree);
                     }
                     Control::ClockPing { t0_us } => {
                         // NTP-style echo: timestamp arrival and
@@ -308,12 +299,12 @@ impl Backend {
     /// [`Backend::recv_timeout`]); a back-end that never receives will
     /// not observe events.
     pub fn try_next_event(&self) -> Option<TopologyEvent> {
-        self.events.lock().unpoisoned().pop_front()
+        self.ledger.events().try_recv().ok()
     }
 
     /// Every rank this back-end has heard reported failed, sorted.
     pub fn failed_ranks(&self) -> Vec<Rank> {
-        self.failed.lock().unpoisoned().iter().copied().collect()
+        self.ledger.failed_ranks()
     }
 }
 

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use mrnet_filters::FilterRegistry;
 use mrnet_transport::{Listener, RetryPolicy, SharedConnection, TcpTransportListener};
 
-use crate::internal::process::NodeLoop;
+use crate::internal::process::{Link, NodeLoop, Upstream};
 use crate::procspawn::{accept_children, plan_children, spawn_internal_children};
 use crate::proto::{decode_frame, Control, Frame};
 use crate::slice::SubtreeSlice;
@@ -88,16 +88,9 @@ pub fn run(
     }
     let children = accept_children(&listener, &view, &plan).map_err(|e| e.to_string())?;
 
-    let mut node = NodeLoop::new(
-        rank,
-        registry,
-        Some(parent),
-        children,
-        None,
-        None,
-        NodeLoop::inbox(),
-    );
-    node.set_child_ranks(plan.order.clone());
+    let children = plan.order.iter().copied().zip(children).collect();
+    let up = Upstream::Parent(Link::new(parent));
+    let mut node = NodeLoop::new(rank, registry, up, children, NodeLoop::inbox());
     node.metrics().connect_retries.add(u64::from(retries));
     node.setup().map_err(|e| format!("setup failed: {e}"))?;
     node.run();

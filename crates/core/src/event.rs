@@ -31,10 +31,12 @@ pub enum TopologyEvent {
     },
 }
 
-/// The root node loop's record of confirmed failures, shared with the
-/// [`crate::Network`] handle: an event queue tools consume plus the
-/// cumulative set of failed back-end ranks (so late readers see deaths
-/// that happened before they first asked).
+/// A tool's record of confirmed failures: an event queue the tool
+/// consumes plus the cumulative set of failed ranks (so late readers
+/// see deaths that happened before they first asked). The root node
+/// loop fills the one it shares with the [`crate::Network`] handle; a
+/// [`crate::Backend`] fills its own from the reports relayed down to
+/// it.
 #[derive(Debug)]
 pub struct FailureLedger {
     tx: Sender<TopologyEvent>,

@@ -35,7 +35,7 @@ use crate::backend::Backend;
 use crate::delivery::Delivery;
 use crate::error::{MrnetError, Result};
 use crate::event::FailureLedger;
-use crate::internal::process::{Inbound, NodeLoop};
+use crate::internal::process::{FrontEnd, Inbound, Link, NodeLoop, Upstream};
 use crate::internal::sched::Inbox;
 use crate::network::Network;
 use crate::proto::{decode_frame, Control, Frame};
@@ -336,14 +336,22 @@ impl NetworkBuilder {
             let rank = id.0 as Rank;
             let registry = self.registry.clone();
             let child_ranks: Vec<Rank> = topo.children(id).iter().map(|c| c.0 as Rank).collect();
-            let ledger_opt = (role == Role::FrontEnd).then(|| ledger.clone());
-            let assembler_opt = (role == Role::FrontEnd).then(|| assembler.clone());
-            let parent = if role == Role::FrontEnd {
-                None
+            let (up, inbox, ready) = if role == Role::FrontEnd {
+                // No commnode process runs here, so no rendezvous
+                // advertisement ever arrives: `attach` has no receiver.
+                let front_end = FrontEnd::new(
+                    delivery.clone(),
+                    unbounded().0,
+                    ledger.clone(),
+                    assembler.clone(),
+                );
+                let ready = Some(ready_tx.clone());
+                (Upstream::FrontEnd(front_end), root_inbox.clone(), ready)
             } else {
                 // This node's upward link is the child side of the
                 // edge between it and its parent.
-                Some(child_side[id.0].take().expect("edge created"))
+                let parent = child_side[id.0].take().expect("edge created");
+                (Upstream::Parent(Link::new(parent)), NodeLoop::inbox(), None)
             };
             let mut slots: Vec<ChildSlot> = Vec::new();
             for &child in topo.children(id) {
@@ -355,15 +363,6 @@ impl NetworkBuilder {
                     ));
                 }
             }
-            let (delivery_opt, ready_opt, inbox) = if role == Role::FrontEnd {
-                (
-                    Some(delivery.clone()),
-                    Some(ready_tx.clone()),
-                    root_inbox.clone(),
-                )
-            } else {
-                (None, None, NodeLoop::inbox())
-            };
             let label = topo.label(id);
             joins.push(
                 std::thread::Builder::new()
@@ -376,25 +375,18 @@ impl NetworkBuilder {
                                 return;
                             }
                         };
-                        let mut node = NodeLoop::new(
-                            rank,
-                            registry,
-                            parent,
-                            children,
-                            delivery_opt,
-                            ready_opt,
-                            inbox,
-                        );
-                        node.set_child_ranks(child_ranks);
-                        if let Some(ledger) = ledger_opt {
-                            node.set_failure_ledger(ledger);
-                        }
-                        if let Some(assembler) = assembler_opt {
-                            node.set_trace_assembler(assembler);
-                        }
-                        if let Err(e) = node.setup() {
-                            log_error!(rank, "setup failed: {e}");
-                            return;
+                        let children = child_ranks.into_iter().zip(children).collect();
+                        let mut node = NodeLoop::new(rank, registry, up, children, inbox);
+                        match node.setup() {
+                            Ok(endpoints) => {
+                                if let Some(ready) = ready {
+                                    let _ = ready.send(endpoints);
+                                }
+                            }
+                            Err(e) => {
+                                log_error!(rank, "setup failed: {e}");
+                                return;
+                            }
                         }
                         node.run();
                     })
@@ -551,30 +543,24 @@ pub fn launch_processes_with_registry(
     let root_join = std::thread::Builder::new()
         .name("mrnet-fe-root".to_owned())
         .spawn(move || {
-            let child_ranks = plan.order.clone();
             let children = match accept_children(&listener, &view, &plan) {
-                Ok(c) => c,
+                Ok(c) => plan.order.iter().copied().zip(c).collect(),
                 Err(e) => {
                     log_error!("fe", "child gather failed: {e}");
                     return;
                 }
             };
-            let mut node = NodeLoop::new(
-                0,
-                reg,
-                None,
-                children,
-                Some(deliv),
-                Some(ready_tx),
-                root_inbox,
-            );
-            node.set_attach_sink(attach_tx);
-            node.set_child_ranks(child_ranks);
-            node.set_failure_ledger(root_ledger);
-            node.set_trace_assembler(root_assembler);
-            if let Err(e) = node.setup() {
-                log_error!("fe", "setup failed: {e}");
-                return;
+            let front_end = FrontEnd::new(deliv, attach_tx, root_ledger, root_assembler);
+            let up = Upstream::FrontEnd(front_end);
+            let mut node = NodeLoop::new(0, reg, up, children, root_inbox);
+            match node.setup() {
+                Ok(endpoints) => {
+                    let _ = ready_tx.send(endpoints);
+                }
+                Err(e) => {
+                    log_error!("fe", "setup failed: {e}");
+                    return;
+                }
             }
             node.run();
             for child in &mut spawned {

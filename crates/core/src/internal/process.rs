@@ -8,11 +8,14 @@
 //! throughout (cheap [`Packet`] handle clones), matching §2.3's
 //! zero-copy paths.
 //!
-//! One [`NodeLoop`] drives one process. At the tree root (the
-//! front-end) there is no parent; fully aggregated packets are
-//! deposited into a delivery mailbox for user threads, and user
-//! commands (stream creation, downstream sends, shutdown) arrive on
-//! the same inbox as network traffic.
+//! One [`NodeLoop`] drives one process. It keeps one `Child` record
+//! per child connection and serves one [`Upstream`]: a parent process,
+//! or, at the tree root, the tool's [`FrontEnd`], whose mailbox
+//! receives fully aggregated packets and whose commands (stream
+//! creation, downstream sends, shutdown) arrive on the same inbox as
+//! network traffic. Clock sync and metrics collection are state
+//! machines of their own (`internal/clock_sync.rs`,
+//! `internal/collect.rs`).
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -21,8 +24,7 @@ use std::time::{Duration, Instant};
 use mrnet_filters::FilterRegistry;
 use mrnet_obs::tracectx::{self, TraceEnvelope, TraceSampler};
 use mrnet_obs::{
-    log_error, log_warn, ConnSendStats, MetricsSection, NetworkSnapshot, NodeMetrics,
-    TraceAssembler, TraceDir,
+    log_error, log_warn, ConnSendStats, NetworkSnapshot, NodeMetrics, TraceAssembler, TraceDir,
 };
 use mrnet_packet::bytes::{Bytes, BytesMut};
 use mrnet_packet::{Batcher, Packet, Rank, StreamId};
@@ -34,6 +36,8 @@ use mrnet_transport::{
 use crate::delivery::Delivery;
 use crate::error::{MrnetError, Result};
 use crate::event::FailureLedger;
+use crate::internal::clock_sync::{self, ChildClock, ClockEntry, PongStep};
+use crate::internal::collect::{Collect, Collects};
 use crate::internal::sched::{self, Inbox, Slot, Turns};
 use crate::internal::stream_manager::StreamManager;
 use crate::introspect::{self, METRICS_REPLY, METRICS_REQUEST, METRICS_STREAM, TRACE_REPORT};
@@ -43,12 +47,6 @@ use crate::proto::{
 };
 use crate::route::RoutingTable;
 use crate::streams::StreamDef;
-
-/// Ping exchanges each parent runs per child connection before
-/// resolving the clock estimate (minimum-RTT sample wins). Pings are
-/// sequential — the next fires as the previous pong lands — so queuing
-/// behind one exchange never inflates the next one's RTT.
-const CLOCK_PINGS: u8 = 4;
 
 /// Up-wave envelopes held per stream while their wave synchronizes;
 /// beyond this, the newest are dropped (sampling already made traced
@@ -106,43 +104,144 @@ pub enum Command {
     Shutdown,
 }
 
-/// In-flight state of one metrics collection at this node: the
-/// sections gathered so far and which children still owe a reply.
-struct MetricsCollect {
-    /// Sections accumulated so far (own section plus decoded child
-    /// replies, in arrival order).
-    sections: Vec<MetricsSection>,
-    /// Child indices whose replies are still outstanding.
-    outstanding: Vec<usize>,
-    /// Epoch-relative time after which the collection completes with
-    /// partial results.
-    deadline: f64,
-    /// Root only: channel back to the blocked front-end caller.
-    /// `None` at interior nodes, which reply upstream instead.
-    reply: Option<Sender<NetworkSnapshot>>,
+/// The outbound side of a connection to a neighbor process: the
+/// connection, the packets batched for it, and the trace envelopes
+/// (with their local arrival stamps) riding its next data frame.
+pub struct Link {
+    conn: SharedConnection,
+    batcher: Batcher,
+    trace_outbox: Vec<(TraceEnvelope, u64)>,
 }
 
-/// Per-child state of the connect-time clock-sync handshake.
-#[derive(Debug, Default)]
-struct ClockSync {
-    /// Best (minimum-RTT) estimate so far.
-    best: Option<ClockEstimate>,
-    /// Completed ping exchanges.
-    exchanged: u8,
-    /// True once the estimate is final and has been applied/relayed.
-    resolved: bool,
-    /// `ClockInfo` entries from this child's subtree, buffered until
-    /// the child's own offset resolves (chaining needs it).
-    buffered: Vec<(Rank, i64, u64)>,
+impl Link {
+    /// A link over `conn` with nothing pending.
+    pub fn new(conn: SharedConnection) -> Link {
+        Link {
+            conn,
+            batcher: Batcher::new(),
+            trace_outbox: Vec::new(),
+        }
+    }
+
+    /// Sends the pending batch as one data frame, if anything is
+    /// pending. With trace envelopes waiting the frame is traced: this
+    /// node's hop (arrival stamp kept from ingest, departure stamped
+    /// now) goes onto every envelope, and they ride as the frame's
+    /// trailer. A failed send is ignored: the neighbor's close, which
+    /// trails the frames it sent first, declares its death.
+    ///
+    /// Returns an untraced frame with the packets it carries, for
+    /// encode-once sharing. Traced frames differ per neighbor, so they
+    /// are never shared.
+    fn flush(&mut self, rank: Rank, metrics: &NodeMetrics) -> Option<(Bytes, Vec<Packet>)> {
+        if self.batcher.is_empty() && self.trace_outbox.is_empty() {
+            return None;
+        }
+        let packets = self.batcher.drain();
+        if !self.trace_outbox.is_empty() {
+            let now = tracectx::wall_us();
+            let mut envs = Vec::with_capacity(self.trace_outbox.len());
+            for (mut env, recv_us) in self.trace_outbox.drain(..) {
+                env.add_hop(rank, recv_us, now);
+                envs.push(env);
+            }
+            metrics.trace_hops.add(envs.len() as u64);
+            metrics.trace_frames.inc();
+            if !packets.is_empty() {
+                metrics.batch_pkts.record_us(packets.len() as u64);
+            }
+            metrics.frames_encoded.inc();
+            let _ = self.conn.send(encode_traced_data_frame(&packets, &envs));
+            return None;
+        }
+        metrics.batch_pkts.record_us(packets.len() as u64);
+        let frame = encode_data_frame(&packets);
+        metrics.frames_encoded.inc();
+        let _ = self.conn.send(frame.clone());
+        Some((frame, packets))
+    }
+}
+
+/// The root's upstream: the tool's front-end, which takes fully
+/// aggregated packets, failure events, clock estimates and completed
+/// traces in-process, with no wire between.
+pub struct FrontEnd {
+    delivery: Arc<Delivery>,
+    /// Receives `(back-end rank, endpoint)` rendezvous advertisements
+    /// harvested from AttachInfo messages during process instantiation.
+    attach: Sender<(Rank, String)>,
+    /// The failure record shared with the [`crate::Network`] handle.
+    ledger: Arc<FailureLedger>,
+    /// The skew-correcting wave assembler shared with the
+    /// [`crate::Network`] handle.
+    assembler: Arc<TraceAssembler>,
+    /// Packets delivered during the current inbox batch, handed to the
+    /// mailbox in one `push_many` by `flush_all`, or earlier by
+    /// `flush_deliveries` before anything else the front-end can
+    /// observe.
+    deliveries: Vec<Packet>,
+    /// Down-wave sampling decisions.
+    sampler: TraceSampler,
+}
+
+impl FrontEnd {
+    /// The front-end of a network whose handle holds `delivery`,
+    /// `ledger` and `assembler`; `attach` receives rendezvous
+    /// advertisements.
+    pub fn new(
+        delivery: Arc<Delivery>,
+        attach: Sender<(Rank, String)>,
+        ledger: Arc<FailureLedger>,
+        assembler: Arc<TraceAssembler>,
+    ) -> FrontEnd {
+        FrontEnd {
+            delivery,
+            attach,
+            ledger,
+            assembler,
+            deliveries: Vec::new(),
+            sampler: TraceSampler::new(),
+        }
+    }
+
+    /// Hands the packets delivered so far in this batch to the
+    /// mailbox, under one lock and at most one wake-up. Besides
+    /// `flush_all`, this runs before anything else the front-end can
+    /// observe (a stream failure, a ledger event, a metrics snapshot,
+    /// the close), so nothing overtakes a wave delivered before it.
+    fn flush_deliveries(&mut self) {
+        if !self.deliveries.is_empty() {
+            self.delivery.push_many(self.deliveries.drain(..));
+        }
+    }
+}
+
+/// What a node serves above it (paper Figure 3).
+pub enum Upstream {
+    /// A parent process.
+    Parent(Link),
+    /// The tool's front-end: this node is the root.
+    FrontEnd(FrontEnd),
+}
+
+/// One direct child and what the loop keeps for it.
+struct Child {
+    /// Its tree rank, which names it in
+    /// [`crate::TopologyEvent::RankFailed`] and per-connection metrics.
+    rank: Rank,
+    link: Link,
+    /// False once the child is declared dead. A dead child's link holds
+    /// nothing, and its late frames are dropped.
+    alive: bool,
+    clock: ChildClock,
 }
 
 /// One MRNet process's event loop.
 pub struct NodeLoop {
     rank: Rank,
     registry: FilterRegistry,
-    parent: Option<SharedConnection>,
-    children: Vec<SharedConnection>,
-    child_alive: Vec<bool>,
+    up: Upstream,
+    children: Vec<Child>,
     routes: RoutingTable,
     managers: HashMap<StreamId, StreamManager>,
     inbox: Receiver<Inbound>,
@@ -150,57 +249,15 @@ pub struct NodeLoop {
     batch: VecDeque<Inbound>,
     /// Where this node's turns run (see [`sched`]).
     slot: Arc<Slot>,
-    delivery: Option<Arc<Delivery>>,
     epoch: Instant,
-    child_batchers: Vec<Batcher>,
-    parent_batcher: Batcher,
-    /// Root only: packets delivered during the current inbox batch,
-    /// handed to the mailbox in one `push_many` by `flush_all`, or
-    /// earlier by `flush_deliveries` before anything else the front-end
-    /// can observe.
-    deliveries: Vec<Packet>,
-    ready_tx: Option<Sender<Vec<Rank>>>,
-    /// Root only: receives `(backend rank, endpoint)` rendezvous
-    /// advertisements harvested from AttachInfo messages during
-    /// process instantiation.
-    attach_tx: Option<Sender<(Rank, String)>>,
     metrics: Arc<NodeMetrics>,
-    /// In-flight metrics collections keyed by request id.
-    collects: HashMap<u32, MetricsCollect>,
-    /// The tree rank of each direct child, in child order, so a dead
-    /// connection can be named in [`crate::TopologyEvent::RankFailed`].
-    child_ranks: Vec<Rank>,
-    /// Whether each child's death has already been announced —
-    /// EOF and a propagated report can both arrive for the same child.
-    child_death_reported: Vec<bool>,
+    collects: Collects,
     /// Every rank this node has confirmed dead (end-points and
     /// internal nodes alike).
     known_dead: BTreeSet<Rank>,
-    /// Root only: the failure record shared with the `Network` handle.
-    ledger: Option<Arc<FailureLedger>>,
     /// Up-wave trace envelopes (with their local receive stamps) held
     /// per stream until the wave they rode synchronizes and forwards.
     trace_pending_up: HashMap<StreamId, Vec<(TraceEnvelope, u64)>>,
-    /// Envelopes riding the next upstream data frame.
-    parent_trace_outbox: Vec<(TraceEnvelope, u64)>,
-    /// Envelopes riding each child's next downstream data frame.
-    child_trace_outbox: Vec<Vec<(TraceEnvelope, u64)>>,
-    /// Root only: down-wave sampling decisions.
-    sampler: TraceSampler,
-    /// Root only: the front-end's skew-correcting wave assembler.
-    assembler: Option<Arc<TraceAssembler>>,
-    /// Per-child clock-sync handshake state.
-    clock_sync: Vec<ClockSync>,
-}
-
-/// Where a failure report entered this node, which determines where it
-/// must be forwarded (everywhere except back toward the reporter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailureOrigin {
-    /// Detected locally or reported by child `usize`.
-    Child(usize),
-    /// Reported by the parent (the failure is in a sibling subtree).
-    Parent,
 }
 
 /// Delivers one connection's frames into the node inbox, on the
@@ -271,45 +328,46 @@ impl NodeLoop {
     /// Builds a node loop and points every connection's inbound frames
     /// at its inbox.
     ///
-    /// `inbox` is the channel pair from [`NodeLoop::inbox`] (created by
-    /// the caller so the front-end can keep a command sender before the
-    /// loop thread starts). `delivery` is `Some` at the root;
-    /// `ready_tx` (root only) receives the end-point set once subtree
-    /// reports have been collected.
+    /// `children` pairs each child connection with the child's tree
+    /// rank, in child order. `inbox` is the channel pair from
+    /// [`NodeLoop::inbox`] (created by the caller so the front-end can
+    /// keep a command sender before the loop thread starts).
     pub fn new(
         rank: Rank,
         registry: FilterRegistry,
-        parent: Option<SharedConnection>,
-        children: Vec<SharedConnection>,
-        delivery: Option<Arc<Delivery>>,
-        ready_tx: Option<Sender<Vec<Rank>>>,
+        up: Upstream,
+        children: Vec<(Rank, SharedConnection)>,
         inbox: (Inbox<Inbound>, Receiver<Inbound>),
     ) -> NodeLoop {
         let (tx, rx) = inbox;
         let slot = tx.slot().clone();
-        if let Some(p) = &parent {
-            p.set_sink(Box::new(InboxSink {
+        if let Upstream::Parent(link) = &up {
+            link.conn.set_sink(Box::new(InboxSink {
                 inbox: tx.clone(),
                 child: None,
             }));
         }
-        for (i, c) in children.iter().enumerate() {
-            let i = u32::try_from(i).expect("child count fits in u32");
-            c.set_sink(Box::new(InboxSink {
-                inbox: tx.clone(),
-                child: Some(i),
-            }));
-        }
-        let n = children.len();
+        let children = children
+            .into_iter()
+            .enumerate()
+            .map(|(i, (rank, conn))| {
+                let i = u32::try_from(i).expect("child count fits in u32");
+                conn.set_sink(Box::new(InboxSink {
+                    inbox: tx.clone(),
+                    child: Some(i),
+                }));
+                Child {
+                    rank,
+                    link: Link::new(conn),
+                    alive: true,
+                    clock: ChildClock::default(),
+                }
+            })
+            .collect();
         NodeLoop {
             rank,
             registry,
-            parent,
-            child_alive: vec![true; n],
-            child_ranks: Vec::new(),
-            child_death_reported: vec![false; n],
-            known_dead: BTreeSet::new(),
-            ledger: None,
+            up,
             children,
             routes: RoutingTable::new(),
             managers: HashMap::new(),
@@ -317,20 +375,10 @@ impl NodeLoop {
             batch: VecDeque::new(),
             metrics: slot.metrics().clone(),
             slot,
-            delivery,
             epoch: Instant::now(),
-            child_batchers: (0..n).map(|_| Batcher::new()).collect(),
-            parent_batcher: Batcher::new(),
-            deliveries: Vec::new(),
-            ready_tx,
-            attach_tx: None,
-            collects: HashMap::new(),
+            collects: Collects::default(),
+            known_dead: BTreeSet::new(),
             trace_pending_up: HashMap::new(),
-            parent_trace_outbox: Vec::new(),
-            child_trace_outbox: (0..n).map(|_| Vec::new()).collect(),
-            sampler: TraceSampler::new(),
-            assembler: None,
-            clock_sync: (0..n).map(|_| ClockSync::default()).collect(),
         }
     }
 
@@ -341,103 +389,21 @@ impl NodeLoop {
         self.metrics.clone()
     }
 
-    /// Installs the root-side sink for AttachInfo advertisements
-    /// (process instantiation). Must be called before
-    /// [`NodeLoop::setup`].
-    pub fn set_attach_sink(&mut self, tx: Sender<(Rank, String)>) {
-        self.attach_tx = Some(tx);
-    }
-
-    /// Records the tree rank of each direct child (child order), so a
-    /// dead connection can be attributed to a rank in failure events.
-    pub fn set_child_ranks(&mut self, ranks: Vec<Rank>) {
-        self.child_ranks = ranks;
-    }
-
-    /// Installs the root-side failure ledger shared with the
-    /// [`crate::Network`] handle; confirmed deaths are reported there.
-    pub fn set_failure_ledger(&mut self, ledger: Arc<FailureLedger>) {
-        self.ledger = Some(ledger);
-    }
-
-    /// Installs the root-side trace assembler shared with the
-    /// [`crate::Network`] handle. Completed waves and resolved clock
-    /// estimates land there. Root only.
-    pub fn set_trace_assembler(&mut self, assembler: Arc<TraceAssembler>) {
-        self.assembler = Some(assembler);
-    }
-
     fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
     }
 
-    /// Routes an AttachInfo advertisement: deliver at the root, relay
-    /// upstream elsewhere.
-    fn relay_attach_info(&mut self, ranks: Vec<Rank>, endpoints: Vec<String>) -> Result<()> {
-        if let Some(tx) = &self.attach_tx {
-            for (rank, endpoint) in ranks.into_iter().zip(endpoints) {
-                let _ = tx.send((rank, endpoint));
-            }
-            Ok(())
-        } else if self.parent.is_some() {
-            self.send_parent(Control::AttachInfo { ranks, endpoints }.to_frame())
-                .map_err(MrnetError::Transport)
-        } else {
-            // Root without a sink: instantiation mode that doesn't use
-            // advertisements; ignore.
-            Ok(())
-        }
-    }
-
-    /// Collects one subtree report per child, then reports upstream
-    /// (§2.5). Must run before [`NodeLoop::run`].
-    pub fn setup(&mut self) -> Result<()> {
+    /// Collects one subtree report per child, then reports the
+    /// subtree's end-points upstream (§2.5): to the parent, and as the
+    /// return value (at the root, the network's end-point set). Must
+    /// run before [`NodeLoop::run`].
+    pub fn setup(&mut self) -> Result<Vec<Rank>> {
         let mut reported: Vec<Option<Vec<Rank>>> = vec![None; self.children.len()];
         let mut missing = self.children.len();
         while missing > 0 {
-            match self.inbox.recv() {
-                Ok(Inbound::Child(i, frame)) => match decode_frame(frame)? {
-                    Frame::Control(pkt) => match Control::from_packet(&pkt)? {
-                        Control::SubtreeReport { endpoints } => {
-                            if reported[i as usize].replace(endpoints).is_none() {
-                                missing -= 1;
-                            }
-                        }
-                        Control::AttachInfo { ranks, endpoints } => {
-                            self.relay_attach_info(ranks, endpoints)?;
-                        }
-                        // Clock sync runs bottom-up as each subtree
-                        // enters its loop; a child's table can arrive
-                        // while this node still awaits other reports.
-                        // Buffered until our own estimate of the child
-                        // exists.
-                        Control::ClockPong {
-                            t0_us,
-                            t1_us,
-                            t2_us,
-                        } => self.on_clock_pong(i as usize, t0_us, t1_us, t2_us),
-                        Control::ClockInfo {
-                            ranks,
-                            offsets_us,
-                            rtts_us,
-                        } => self.on_clock_info(i as usize, ranks, offsets_us, rtts_us),
-                        other => {
-                            return Err(MrnetError::Protocol(format!(
-                                "unexpected control during setup: {other:?}"
-                            )))
-                        }
-                    },
-                    Frame::Data(_) | Frame::Traced(..) => {
-                        return Err(MrnetError::Protocol(
-                            "data frame before instantiation finished".into(),
-                        ))
-                    }
-                },
-                Ok(Inbound::ChildData(..)) => {
-                    return Err(MrnetError::Protocol(
-                        "data frame before instantiation finished".into(),
-                    ))
-                }
+            let (i, frame) = match self.inbox.recv() {
+                Ok(Inbound::Child(i, frame)) => (i as usize, frame),
+                Ok(Inbound::ChildData(i, frame)) => (i as usize, frame.freeze()),
                 Ok(Inbound::ChildClosed(i)) => {
                     return Err(MrnetError::Instantiation(format!(
                         "child {i} of rank {} died during instantiation",
@@ -450,18 +416,39 @@ impl NodeLoop {
                     )))
                 }
                 Err(_) => return Err(MrnetError::Shutdown),
+            };
+            match decode_frame(frame)? {
+                Frame::Control(pkt) => match Control::from_packet(&pkt)? {
+                    Control::SubtreeReport { endpoints } => {
+                        if reported[i].replace(endpoints).is_none() {
+                            missing -= 1;
+                        }
+                    }
+                    // A subtree enters its loop (and starts clock sync)
+                    // and advertises attach points as soon as it is up,
+                    // while this node may still await other reports.
+                    other => self.on_child_control(i, other)?,
+                },
+                Frame::Data(_) | Frame::Traced(..) => {
+                    return Err(MrnetError::Protocol(
+                        "data frame before instantiation finished".into(),
+                    ))
+                }
             }
         }
         for endpoints in reported.into_iter().map(Option::unwrap) {
             self.routes.add_child(endpoints);
         }
         let all = self.routes.all_endpoints();
-        if self.parent.is_some() {
-            self.send_parent(Control::SubtreeReport { endpoints: all }.to_frame())?;
-        } else if let Some(tx) = self.ready_tx.take() {
-            let _ = tx.send(all);
+        if let Upstream::Parent(_) = self.up {
+            self.send_parent(
+                Control::SubtreeReport {
+                    endpoints: all.clone(),
+                }
+                .to_frame(),
+            )?;
         }
-        Ok(())
+        Ok(all)
     }
 
     /// Folds the transport connections' send-pipeline counters (queue
@@ -471,30 +458,25 @@ impl NodeLoop {
     /// so a snapshot can name which subtree is backed up.
     fn refresh_send_metrics(&self) {
         let (mut depth, mut coalesced, mut stalls) = (0u64, 0u64, 0u64);
-        if let Some(p) = &self.parent {
-            let s = p.stats();
+        if let Upstream::Parent(link) = &self.up {
+            let s = link.conn.stats();
             depth += s.queue_depth;
             coalesced += s.frames_coalesced;
             stalls += s.enqueue_stalls;
         }
-        for (i, c) in self.children.iter().enumerate() {
-            if !self.child_alive[i] {
-                continue;
-            }
-            let s = c.stats();
+        for child in self.children.iter().filter(|c| c.alive) {
+            let s = child.link.conn.stats();
             depth += s.queue_depth;
             coalesced += s.frames_coalesced;
             stalls += s.enqueue_stalls;
-            if let Some(&rank) = self.child_ranks.get(i) {
-                self.metrics.set_conn_send_stats(
-                    rank,
-                    ConnSendStats {
-                        queue_depth: s.queue_depth,
-                        coalesced: s.frames_coalesced,
-                        stalls: s.enqueue_stalls,
-                    },
-                );
-            }
+            self.metrics.set_conn_send_stats(
+                child.rank,
+                ConnSendStats {
+                    queue_depth: s.queue_depth,
+                    coalesced: s.frames_coalesced,
+                    stalls: s.enqueue_stalls,
+                },
+            );
         }
         self.metrics.send_queue_depth.set(depth as i64);
         self.metrics.send_coalesced.set(coalesced as i64);
@@ -507,7 +489,7 @@ impl NodeLoop {
         self.managers
             .values()
             .filter_map(StreamManager::deadline)
-            .chain(self.collects.values().map(|c| c.deadline))
+            .chain(self.collects.deadlines())
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -518,7 +500,12 @@ impl NodeLoop {
     /// thread of another node whose turn made this one ready. The owner
     /// fires the node's timers and runs its shutdown cleanup.
     pub fn run(mut self) {
-        self.start_clock_sync();
+        // Clock sync starts as the loop does: the whole subtree is in
+        // its loop by then (setup completes bottom-up). The pong
+        // handler drives the rest, one exchange at a time.
+        for i in 0..self.children.len() {
+            self.send_clock_ping(i);
+        }
         let slot = self.slot.clone();
         slot.drive(Box::new(self));
     }
@@ -528,7 +515,7 @@ impl NodeLoop {
         match msg {
             Inbound::Child(i, frame) => {
                 let i = i as usize;
-                if !self.child_alive[i] {
+                if !self.children[i].alive {
                     // Late frames from a connection already declared
                     // dead (e.g. buffered before garbage): drop.
                     return true;
@@ -560,45 +547,43 @@ impl NodeLoop {
         }
     }
 
-    /// Confirms child `child` dead: computes the lost subtree, prunes
-    /// local state, and announces the failure through the tree.
-    /// Idempotent — EOF, garbage, and a propagated report can all name
-    /// the same child.
-    fn handle_child_death(&mut self, child: usize) {
-        self.child_alive[child] = false;
-        self.forget_collect_child(child);
-        self.child_trace_outbox[child].clear();
-        self.clock_sync[child].buffered.clear();
-        if self.child_death_reported[child] {
+    /// Confirms child `i` dead: computes the lost subtree, prunes local
+    /// state, and announces the failure through the tree. EOF, garbage,
+    /// and a propagated report can all name the same child; only the
+    /// first counts.
+    fn handle_child_death(&mut self, i: usize) {
+        let child = &mut self.children[i];
+        if !child.alive {
             return;
         }
-        self.child_death_reported[child] = true;
+        child.alive = false;
+        child.link.batcher.drain();
+        child.link.trace_outbox.clear();
+        child.clock.forget();
+        let failed_rank = child.rank;
+        for (req_id, collect) in self.collects.forget_child(i) {
+            self.finish_collect(req_id, collect);
+        }
         self.metrics.peer_deaths.inc();
         // Everything only reachable through this child dies with it,
         // minus ranks already declared dead by earlier reports.
-        let lost: Vec<Rank> = if child < self.routes.num_children() {
-            self.routes
-                .reachable_via(child)
-                .into_iter()
-                .filter(|r| !self.known_dead.contains(r))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let failed_rank = self
-            .child_ranks
-            .get(child)
-            .copied()
-            .unwrap_or_else(|| lost.first().copied().unwrap_or(self.rank));
-        self.on_ranks_failed(failed_rank, lost, FailureOrigin::Child(child));
+        let lost: Vec<Rank> = self
+            .routes
+            .reachable_via(i)
+            .into_iter()
+            .filter(|r| !self.known_dead.contains(r))
+            .collect();
+        self.on_ranks_failed(failed_rank, lost, Some(i));
     }
 
     /// Applies a confirmed failure everywhere it matters at this node:
     /// routing shrinks, every stream prunes its membership (forwarding
     /// waves the shrinkage released), and the report is forwarded to
-    /// every neighbor except the one it came from. At the root the
-    /// report lands in the failure ledger as a tool-visible event.
-    fn on_ranks_failed(&mut self, failed_rank: Rank, subtree: Vec<Rank>, origin: FailureOrigin) {
+    /// every neighbor except the one it came from: `from` names the
+    /// child that reported it or was found dead, `None` the parent (the
+    /// failure is in a sibling subtree). At the root the report
+    /// lands in the failure ledger as a tool-visible event.
+    fn on_ranks_failed(&mut self, failed_rank: Rank, subtree: Vec<Rank>, from: Option<usize>) {
         let fresh: Vec<Rank> = subtree
             .into_iter()
             .filter(|r| self.known_dead.insert(*r))
@@ -613,17 +598,10 @@ impl NodeLoop {
         // completes from the survivors right here.
         let sids: Vec<StreamId> = self.managers.keys().copied().collect();
         for sid in sids {
-            let before = self
-                .managers
-                .get(&sid)
-                .map_or(0, |m| m.live_endpoints().len());
-            let (waves, all_dead) = self.managers.get_mut(&sid).unwrap().prune(&fresh, now);
-            let shrank = self
-                .managers
-                .get(&sid)
-                .map_or(0, |m| m.live_endpoints().len())
-                < before;
-            if shrank {
+            let mgr = self.managers.get_mut(&sid).expect("stream listed above");
+            let before = mgr.live_endpoints().len();
+            let (waves, all_dead) = mgr.prune(&fresh, now);
+            if mgr.live_endpoints().len() < before {
                 self.metrics.pruned_streams.inc();
             }
             let ready = self.run_released(sid, waves);
@@ -635,59 +613,39 @@ impl NodeLoop {
                 self.fail_stream(sid);
             }
         }
-        self.forward_failure_report(failed_rank, &fresh, origin);
+        self.forward_failure_report(failed_rank, &fresh, from);
     }
 
     /// Sends a `RankFailed` report everywhere except whence it came;
     /// at the root it lands in the failure ledger instead of a parent.
-    fn forward_failure_report(&mut self, failed_rank: Rank, fresh: &[Rank], origin: FailureOrigin) {
+    fn forward_failure_report(&mut self, failed_rank: Rank, fresh: &[Rank], from: Option<usize>) {
         let report = Control::RankFailed {
             rank: failed_rank,
             subtree: fresh.to_vec(),
         }
         .to_frame();
-        match origin {
-            FailureOrigin::Child(from) => {
-                if self.parent.is_some() {
+        if from.is_some() {
+            match &mut self.up {
+                Upstream::Parent(_) => {
                     let _ = self.send_parent(report.clone());
-                } else {
-                    // Root: the event trails the waves delivered before
-                    // it, as a report sent upstream trails the batcher.
-                    self.flush_deliveries();
-                    if let Some(ledger) = &self.ledger {
-                        self.metrics.events_delivered.inc();
-                        ledger.report(failed_rank, fresh.to_vec());
-                    }
                 }
-                for i in 0..self.children.len() {
-                    if i != from && self.child_alive[i] {
-                        let _ = self.send_child(i, report.clone());
-                    }
+                Upstream::FrontEnd(fe) => {
+                    // The event trails the waves delivered before it, as
+                    // a report sent upstream trails the batcher.
+                    fe.flush_deliveries();
+                    self.metrics.events_delivered.inc();
+                    fe.ledger.report(failed_rank, fresh.to_vec());
                 }
             }
-            FailureOrigin::Parent => {
-                for i in 0..self.children.len() {
-                    if self.child_alive[i] {
-                        let _ = self.send_child(i, report.clone());
-                    }
-                }
+        }
+        for i in 0..self.children.len() {
+            if Some(i) != from && self.children[i].alive {
+                let _ = self.send_child(i, report.clone());
             }
         }
     }
 
-    /// Fires the first clock ping at every child. Runs once, as the
-    /// event loop starts (the whole subtree is in its loop by then —
-    /// setup completes bottom-up). The rest of the handshake is driven
-    /// by the pong handlers, one exchange at a time.
-    fn start_clock_sync(&mut self) {
-        for child in 0..self.children.len() {
-            if self.child_alive[child] {
-                self.send_clock_ping(child);
-            }
-        }
-    }
-
-    fn send_clock_ping(&mut self, child: usize) {
+    fn send_clock_ping(&mut self, i: usize) {
         let ping = Control::ClockPing {
             t0_us: tracectx::wall_us(),
         }
@@ -697,105 +655,38 @@ impl NodeLoop {
         // child dead here would jump ahead of its already-queued
         // inbound frames — death is only ever declared in frame order,
         // by EOF or garbage.
-        let _ = self.send_child(child, ping);
+        let _ = self.send_child(i, ping);
     }
 
-    /// One ping exchange completed: fold the estimate in (minimum RTT
-    /// wins), then either ping again or resolve the child's clock.
-    fn on_clock_pong(&mut self, child: usize, t0_us: u64, t1_us: u64, t2_us: u64) {
-        let t3_us = tracectx::wall_us();
-        let est = ClockEstimate::from_ping(t0_us, t1_us, t2_us, t3_us);
-        let sync = &mut self.clock_sync[child];
-        if sync.resolved {
-            return; // Stray duplicate pong.
-        }
-        if sync.best.is_none_or(|best| est.better_than(&best)) {
-            sync.best = Some(est);
-        }
-        sync.exchanged += 1;
-        if sync.exchanged < CLOCK_PINGS {
-            self.send_clock_ping(child);
-        } else {
-            self.resolve_child_clock(child);
-        }
-    }
-
-    /// Finalizes a child's estimate: apply it (and any buffered
-    /// subtree entries, chained through it) at the root, or relay the
-    /// lot upstream.
-    fn resolve_child_clock(&mut self, child: usize) {
-        let Some(est) = self.clock_sync[child].best else {
-            return;
-        };
-        let Some(&rank) = self.child_ranks.get(child) else {
-            return;
-        };
-        self.clock_sync[child].resolved = true;
-        let buffered = std::mem::take(&mut self.clock_sync[child].buffered);
-        let mut entries = vec![(rank, est.offset_us, est.rtt_us)];
-        entries.extend(buffered.into_iter().map(|(r, offset_us, rtt_us)| {
-            let chained = est.chain(&ClockEstimate { offset_us, rtt_us });
-            (r, chained.offset_us, chained.rtt_us)
-        }));
-        self.apply_clock_entries(entries);
-    }
-
-    /// A subtree clock table arrived from `child`. Its offsets are
-    /// relative to the child's clock; chain them through our estimate
-    /// of the child before applying — or buffer them until that
-    /// estimate exists.
-    fn on_clock_info(&mut self, child: usize, ranks: Vec<Rank>, offsets: Vec<i64>, rtts: Vec<u64>) {
-        let sync = &mut self.clock_sync[child];
-        let items = ranks.into_iter().zip(offsets).zip(rtts);
-        if !sync.resolved {
-            sync.buffered
-                .extend(items.map(|((r, off), rtt)| (r, off, rtt)));
-            return;
-        }
-        let est = sync.best.unwrap_or_default();
-        let entries: Vec<(Rank, i64, u64)> = items
-            .map(|((r, offset_us), rtt_us)| {
-                let chained = est.chain(&ClockEstimate { offset_us, rtt_us });
-                (r, chained.offset_us, chained.rtt_us)
-            })
-            .collect();
-        self.apply_clock_entries(entries);
-    }
-
-    /// Entries are relative to *this* node's clock: feed the root's
+    /// Clock entries relative to *this* node's clock: feed the root's
     /// assembler directly, or relay them upstream for further
     /// chaining.
-    fn apply_clock_entries(&mut self, entries: Vec<(Rank, i64, u64)>) {
+    fn apply_clock_entries(&mut self, entries: Vec<ClockEntry>) {
         if entries.is_empty() {
             return;
         }
-        if let Some(assembler) = &self.assembler {
-            for (rank, offset_us, rtt_us) in entries {
-                assembler.set_clock(rank, offset_us, rtt_us);
-            }
-        } else if self.parent.is_some() {
-            let mut ranks = Vec::with_capacity(entries.len());
-            let mut offsets_us = Vec::with_capacity(entries.len());
-            let mut rtts_us = Vec::with_capacity(entries.len());
-            for (r, off, rtt) in entries {
-                ranks.push(r);
-                offsets_us.push(off);
-                rtts_us.push(rtt);
-            }
-            let _ = self.send_parent(
-                Control::ClockInfo {
-                    ranks,
-                    offsets_us,
-                    rtts_us,
+        match &self.up {
+            Upstream::FrontEnd(fe) => {
+                for (rank, offset_us, rtt_us) in entries {
+                    fe.assembler.set_clock(rank, offset_us, rtt_us);
                 }
-                .to_frame(),
-            );
+            }
+            Upstream::Parent(_) => {
+                let _ = self.send_parent(clock_sync::clock_info(entries).to_frame());
+            }
         }
     }
 
     fn poll_timeouts(&mut self) {
         let now = self.now();
-        self.expire_collects(now);
+        for (req_id, collect) in self.collects.expire(now) {
+            log_warn!(
+                self.rank,
+                "metrics collection {req_id} timed out with {} children outstanding",
+                collect.outstanding.len()
+            );
+            self.finish_collect(req_id, collect);
+        }
         let released: Vec<(StreamId, Vec<Vec<Packet>>)> = self
             .managers
             .iter_mut()
@@ -810,9 +701,9 @@ impl NodeLoop {
         }
     }
 
-    fn on_child_frame(&mut self, child: usize, frame: Bytes) -> Result<()> {
+    fn on_child_frame(&mut self, i: usize, frame: Bytes) -> Result<()> {
         match decode_frame(frame)? {
-            Frame::Data(packets) => self.on_child_packets(child, packets)?,
+            Frame::Data(packets) => self.on_child_packets(i, packets),
             Frame::Traced(packets, envelopes) => {
                 // Stamp arrival once per frame; the envelopes wait with
                 // that stamp until their streams' waves forward.
@@ -824,35 +715,61 @@ impl NodeLoop {
                         pending.push((env, recv_us));
                     }
                 }
-                self.on_child_packets(child, packets)?;
+                self.on_child_packets(i, packets)
             }
-            Frame::Control(pkt) => match Control::from_packet(&pkt)? {
-                // Late subtree reports / attaches are instantiation
-                // artifacts; ignore outside setup.
-                Control::SubtreeReport { .. }
-                | Control::Attach { .. }
-                | Control::AttachInfo { .. } => {}
-                Control::RankFailed { rank, subtree } => {
-                    // A descendant deeper in this child's subtree died;
-                    // the child itself is alive (it told us).
-                    self.on_ranks_failed(rank, subtree, FailureOrigin::Child(child));
+            Frame::Control(pkt) => self.on_child_control(i, Control::from_packet(&pkt)?),
+        }
+    }
+
+    /// Handles a control from child `i`, during setup and in the loop
+    /// alike.
+    fn on_child_control(&mut self, i: usize, control: Control) -> Result<()> {
+        match control {
+            // Late subtree reports and attaches are instantiation
+            // artifacts.
+            Control::SubtreeReport { .. } | Control::Attach { .. } => {}
+            // A rendezvous advertisement: to the front-end, or on up.
+            Control::AttachInfo { ranks, endpoints } => match &self.up {
+                Upstream::FrontEnd(fe) => {
+                    for advert in ranks.into_iter().zip(endpoints) {
+                        let _ = fe.attach.send(advert);
+                    }
                 }
-                Control::ClockPong {
-                    t0_us,
-                    t1_us,
-                    t2_us,
-                } => self.on_clock_pong(child, t0_us, t1_us, t2_us),
-                Control::ClockInfo {
-                    ranks,
-                    offsets_us,
-                    rtts_us,
-                } => self.on_clock_info(child, ranks, offsets_us, rtts_us),
-                other => {
-                    return Err(MrnetError::Protocol(format!(
-                        "unexpected upstream control: {other:?}"
-                    )))
+                Upstream::Parent(_) => {
+                    let _ = self.send_parent(Control::AttachInfo { ranks, endpoints }.to_frame());
                 }
             },
+            Control::RankFailed { rank, subtree } => {
+                // A descendant deeper in this child's subtree died;
+                // the child itself is alive (it told us).
+                self.on_ranks_failed(rank, subtree, Some(i));
+            }
+            Control::ClockPong {
+                t0_us,
+                t1_us,
+                t2_us,
+            } => {
+                let est = ClockEstimate::from_ping(t0_us, t1_us, t2_us, tracectx::wall_us());
+                let child = &mut self.children[i];
+                match child.clock.on_pong(child.rank, est) {
+                    PongStep::Ping => self.send_clock_ping(i),
+                    PongStep::Resolved(entries) => self.apply_clock_entries(entries),
+                    PongStep::Stray => {}
+                }
+            }
+            Control::ClockInfo {
+                ranks,
+                offsets_us,
+                rtts_us,
+            } => {
+                let entries = self.children[i].clock.on_info(ranks, offsets_us, rtts_us);
+                self.apply_clock_entries(entries);
+            }
+            other => {
+                return Err(MrnetError::Protocol(format!(
+                    "unexpected upstream control: {other:?}"
+                )))
+            }
         }
         Ok(())
     }
@@ -956,15 +873,16 @@ impl NodeLoop {
     /// terminated it: ingest at the root, forward verbatim (in a frame
     /// of its own, like all introspection traffic) elsewhere.
     fn on_trace_report(&mut self, packet: &Packet) {
-        if let Some(assembler) = &self.assembler {
-            match introspect::decode_trace_report(packet) {
+        match &self.up {
+            Upstream::FrontEnd(fe) => match introspect::decode_trace_report(packet) {
                 Ok(env) => {
-                    assembler.ingest(&env, TraceDir::Down);
+                    fe.assembler.ingest(&env, TraceDir::Down);
                 }
                 Err(_) => log_warn!(self.rank, "dropping malformed trace report"),
+            },
+            Upstream::Parent(_) => {
+                let _ = self.send_parent(encode_data_frame(std::slice::from_ref(packet)));
             }
-        } else {
-            let _ = self.send_parent(encode_data_frame(std::slice::from_ref(packet)));
         }
     }
 
@@ -985,18 +903,21 @@ impl NodeLoop {
             let Some(pending) = self.trace_pending_up.remove(&sid) else {
                 continue;
             };
-            if let Some(assembler) = &self.assembler {
-                // Root: the wave terminates here.
-                let now = tracectx::wall_us();
-                for (mut env, recv_us) in pending {
-                    env.add_hop(self.rank, recv_us, now);
-                    self.metrics.trace_hops.inc();
-                    assembler.ingest(&env, TraceDir::Up);
+            match &mut self.up {
+                Upstream::FrontEnd(fe) => {
+                    // Root: the wave terminates here.
+                    let now = tracectx::wall_us();
+                    for (mut env, recv_us) in pending {
+                        env.add_hop(self.rank, recv_us, now);
+                        self.metrics.trace_hops.inc();
+                        fe.assembler.ingest(&env, TraceDir::Up);
+                    }
                 }
-            } else if self.parent.is_some() {
-                for item in pending {
-                    if self.parent_trace_outbox.len() < TRACE_OUTBOX_CAP {
-                        self.parent_trace_outbox.push(item);
+                Upstream::Parent(link) => {
+                    for item in pending {
+                        if link.trace_outbox.len() < TRACE_OUTBOX_CAP {
+                            link.trace_outbox.push(item);
+                        }
                     }
                 }
             }
@@ -1016,18 +937,22 @@ impl NodeLoop {
                 self.metrics.pkts_lazy_relayed.inc();
             }
         }
-        if self.delivery.is_some() {
-            // Root: "sent" upstream means delivered to user threads;
-            // account the bytes here since no wire carries them. The
-            // packets reach the mailbox when the batch flushes.
-            let bytes: usize = packets.iter().map(Packet::encoded_size_hint).sum();
-            self.metrics.local_up_bytes.add(bytes as u64);
-            self.deliveries.extend(packets);
-        } else {
-            for p in packets {
-                self.parent_batcher.push(p);
-                if self.parent_batcher.should_flush() {
-                    self.flush_parent();
+        match &mut self.up {
+            Upstream::FrontEnd(fe) => {
+                // Root: "sent" upstream means delivered to user
+                // threads; account the bytes here since no wire carries
+                // them. The packets reach the mailbox when the batch
+                // flushes.
+                let bytes: usize = packets.iter().map(Packet::encoded_size_hint).sum();
+                self.metrics.local_up_bytes.add(bytes as u64);
+                fe.deliveries.extend(packets);
+            }
+            Upstream::Parent(link) => {
+                for p in packets {
+                    link.batcher.push(p);
+                    if link.batcher.should_flush() {
+                        link.flush(self.rank, &self.metrics);
+                    }
                 }
             }
         }
@@ -1035,11 +960,8 @@ impl NodeLoop {
 
     /// Returns false when the loop should exit (shutdown received).
     fn on_parent_frame(&mut self, frame: Bytes) -> Result<bool> {
-        match decode_frame(frame)? {
-            Frame::Data(packets) => {
-                self.on_parent_packets(packets)?;
-                Ok(true)
-            }
+        let packets = match decode_frame(frame)? {
+            Frame::Data(packets) => packets,
             Frame::Traced(packets, envelopes) => {
                 let recv_us = tracectx::wall_us();
                 self.metrics.trace_frames.inc();
@@ -1049,46 +971,43 @@ impl NodeLoop {
                 for env in envelopes {
                     self.spread_down_envelope(env, recv_us);
                 }
-                self.on_parent_packets(packets)?;
-                Ok(true)
+                packets
             }
-            Frame::Control(pkt) => {
-                let control = Control::from_packet(&pkt)?;
-                match &control {
-                    Control::NewStream { .. } => {
-                        let def =
-                            StreamDef::from_control(&control).expect("NewStream parses to a def");
-                        self.create_stream(def)?;
-                        Ok(true)
-                    }
-                    Control::DeleteStream { stream_id } => {
-                        self.delete_stream(*stream_id);
-                        Ok(true)
-                    }
-                    Control::RankFailed { rank, subtree } => {
-                        // A failure in a sibling subtree, relayed down.
-                        self.on_ranks_failed(*rank, subtree.clone(), FailureOrigin::Parent);
-                        Ok(true)
-                    }
-                    Control::ClockPing { t0_us } => {
-                        let t1_us = tracectx::wall_us();
-                        let _ = self.send_parent(
-                            Control::ClockPong {
-                                t0_us: *t0_us,
-                                t1_us,
-                                t2_us: tracectx::wall_us(),
-                            }
-                            .to_frame(),
-                        );
-                        Ok(true)
-                    }
-                    Control::Shutdown => Ok(false),
-                    other => Err(MrnetError::Protocol(format!(
-                        "unexpected downstream control: {other:?}"
-                    ))),
-                }
+            Frame::Control(pkt) => return self.on_parent_control(Control::from_packet(&pkt)?),
+        };
+        self.on_parent_packets(packets)?;
+        Ok(true)
+    }
+
+    /// Returns false when the loop should exit (shutdown received).
+    fn on_parent_control(&mut self, control: Control) -> Result<bool> {
+        match &control {
+            Control::NewStream { .. } => {
+                let def = StreamDef::from_control(&control).expect("NewStream parses to a def");
+                self.create_stream(def)?;
+            }
+            Control::DeleteStream { stream_id } => self.delete_stream(*stream_id),
+            // A failure in a sibling subtree, relayed down.
+            Control::RankFailed { rank, subtree } => {
+                self.on_ranks_failed(*rank, subtree.clone(), None);
+            }
+            Control::ClockPing { t0_us } => {
+                let t1_us = tracectx::wall_us();
+                let pong = Control::ClockPong {
+                    t0_us: *t0_us,
+                    t1_us,
+                    t2_us: tracectx::wall_us(),
+                };
+                let _ = self.send_parent(pong.to_frame());
+            }
+            Control::Shutdown => return Ok(false),
+            other => {
+                return Err(MrnetError::Protocol(format!(
+                    "unexpected downstream control: {other:?}"
+                )))
             }
         }
+        Ok(true)
     }
 
     fn on_parent_packets(&mut self, packets: Vec<Packet>) -> Result<()> {
@@ -1110,27 +1029,28 @@ impl NodeLoop {
         let Some(mgr) = self.managers.get(&env.stream) else {
             return; // Stream gone (racing a delete): drop the trace.
         };
-        for &child in mgr.live_route() {
-            if self.child_alive[child] && self.child_trace_outbox[child].len() < TRACE_OUTBOX_CAP {
-                self.child_trace_outbox[child].push((env.clone(), recv_us));
+        for &i in mgr.live_route() {
+            let child = &mut self.children[i];
+            if child.alive && child.link.trace_outbox.len() < TRACE_OUTBOX_CAP {
+                child.link.trace_outbox.push((env.clone(), recv_us));
             }
         }
     }
 
+    /// Returns false when the loop should exit (shutdown commanded).
     fn on_command(&mut self, cmd: Command) -> bool {
         match cmd {
             Command::NewStream(def) => {
                 if let Err(e) = self.create_stream(*def) {
                     log_error!(self.rank, "stream creation error: {e}");
                 }
-                true
             }
             Command::SendDown(packet) => {
                 // A sampled down-wave originates here: spread an
                 // empty-hops envelope into the route's child outboxes
                 // before routing so it rides the same flushed frame.
                 // The root's own hop is stamped at flush time.
-                if self.sampler.sample() {
+                if matches!(&self.up, Upstream::FrontEnd(fe) if fe.sampler.sample()) {
                     let env = TraceEnvelope {
                         trace_id: tracectx::next_trace_id(self.rank),
                         stream: packet.stream_id(),
@@ -1141,22 +1061,16 @@ impl NodeLoop {
                 if let Err(e) = self.route_down(packet) {
                     log_error!(self.rank, "downstream send error: {e}");
                 }
-                true
             }
-            Command::DeleteStream(sid) => {
-                self.delete_stream(sid);
-                true
-            }
+            Command::DeleteStream(sid) => self.delete_stream(sid),
             Command::CollectMetrics {
                 req_id,
                 timeout_secs,
                 reply,
-            } => {
-                self.start_collect(req_id, timeout_secs, Some(reply));
-                true
-            }
-            Command::Shutdown => false,
+            } => self.start_collect(req_id, timeout_secs, Some(reply)),
+            Command::Shutdown => return false,
         }
+        true
     }
 
     fn create_stream(&mut self, mut def: StreamDef) -> Result<()> {
@@ -1177,9 +1091,9 @@ impl NodeLoop {
         // not prevent the stream from existing for the survivors. Its
         // death is declared by its `ChildClosed`, in frame order, so
         // the frames it queued before dying are still read.
-        for &child in mgr.participants() {
-            if self.child_alive[child] {
-                let _ = self.send_child(child, frame.clone());
+        for &i in mgr.participants() {
+            if self.children[i].alive {
+                let _ = self.send_child(i, frame.clone());
             }
         }
         self.managers.insert(mgr.def().id, mgr);
@@ -1189,9 +1103,9 @@ impl NodeLoop {
     fn delete_stream(&mut self, sid: StreamId) {
         if let Some(mgr) = self.managers.remove(&sid) {
             let frame = Control::DeleteStream { stream_id: sid }.to_frame();
-            for &child in mgr.participants() {
-                if self.child_alive[child] {
-                    let _ = self.send_child(child, frame.clone());
+            for &i in mgr.participants() {
+                if self.children[i].alive {
+                    let _ = self.send_child(i, frame.clone());
                 }
             }
         }
@@ -1222,11 +1136,12 @@ impl NodeLoop {
             // multiple output packet buffers because the packet may be
             // destined for multiple back-ends" (§2.3) — by reference.
             let mut flush = false;
-            for &child in mgr.live_route() {
-                if self.child_alive[child] {
+            for &i in mgr.live_route() {
+                let child = &mut self.children[i];
+                if child.alive {
                     self.metrics.down_pkts_sent.inc();
-                    self.child_batchers[child].push(out.clone());
-                    flush |= self.child_batchers[child].should_flush();
+                    child.link.batcher.push(out.clone());
+                    flush |= child.link.batcher.should_flush();
                 }
             }
             // Flush only after every route member holds the packet:
@@ -1234,9 +1149,9 @@ impl NodeLoop {
             // same wave and share one encoded frame. A batch is flushed
             // as soon as it fills, so the full ones are on this route.
             if flush {
-                for child in 0..self.children.len() {
-                    if self.child_alive[child] && self.child_batchers[child].should_flush() {
-                        self.flush_child(child);
+                for i in 0..self.children.len() {
+                    if self.children[i].link.batcher.should_flush() {
+                        self.flush_child(i);
                     }
                 }
             }
@@ -1244,169 +1159,72 @@ impl NodeLoop {
         Ok(())
     }
 
-    /// Sends child `child` its pending batch. A failed send is ignored:
-    /// the child's `ChildClosed`, which trails the frames it sent
-    /// first, declares its death.
-    fn flush_child(&mut self, child: usize) {
-        let packets = self.child_batchers[child].drain();
-        if !self.child_alive[child] {
-            self.child_trace_outbox[child].clear();
+    /// Sends child `i` its pending batch. Encode-once multicast: a
+    /// sibling whose pending batch holds these exact packet handles
+    /// would produce a byte-identical frame — hand it this one (a
+    /// refcount bump) instead of re-encoding. Divergent batches keep
+    /// their own flush cycle. A sibling with pending trace envelopes is
+    /// excluded: its frame must carry its own trailer.
+    fn flush_child(&mut self, i: usize) {
+        let Some((frame, packets)) = self.children[i].link.flush(self.rank, &self.metrics) else {
             return;
-        }
-        if !self.child_trace_outbox[child].is_empty() {
-            // Traced flush: stamp this node's hop (arrival stamp kept
-            // from ingest, departure stamped now) onto every pending
-            // envelope and ship them as the frame's trailer. Traced
-            // frames differ per child, so they never enter the
-            // encode-once sharing path below.
-            let now = tracectx::wall_us();
-            let mut envs = Vec::with_capacity(self.child_trace_outbox[child].len());
-            for (mut env, recv_us) in self.child_trace_outbox[child].drain(..) {
-                env.add_hop(self.rank, recv_us, now);
-                envs.push(env);
-            }
-            self.metrics.trace_hops.add(envs.len() as u64);
-            self.metrics.trace_frames.inc();
-            if !packets.is_empty() {
-                self.metrics.batch_pkts.record_us(packets.len() as u64);
-            }
-            let frame = encode_traced_data_frame(&packets, &envs);
-            self.metrics.frames_encoded.inc();
-            let _ = self.children[child].send(frame);
-            return;
-        }
-        if packets.is_empty() {
-            return;
-        }
-        self.metrics.batch_pkts.record_us(packets.len() as u64);
-        let frame = encode_data_frame(&packets);
-        self.metrics.frames_encoded.inc();
-        let _ = self.children[child].send(frame.clone());
-        // Encode-once multicast: a sibling whose pending batch holds
-        // these exact packet handles would produce a byte-identical
-        // frame — hand it this one (a refcount bump) instead of
-        // re-encoding. Divergent batches keep their own flush cycle.
-        // A sibling with pending trace envelopes is excluded: its frame
-        // must carry its own trailer.
-        for sib in 0..self.children.len() {
-            if sib == child
-                || !self.child_alive[sib]
-                || !self.child_trace_outbox[sib].is_empty()
-                || !self.child_batchers[sib].pending_matches(&packets)
+        };
+        for (j, sib) in self.children.iter_mut().enumerate() {
+            if j == i
+                || !sib.link.trace_outbox.is_empty()
+                || !sib.link.batcher.pending_matches(&packets)
             {
                 continue;
             }
-            self.child_batchers[sib].drain();
+            sib.link.batcher.drain();
             self.metrics.batch_pkts.record_us(packets.len() as u64);
             self.metrics.frames_shared.inc();
-            let _ = self.children[sib].send(frame.clone());
+            let _ = sib.link.conn.send(frame.clone());
         }
-    }
-
-    fn flush_parent(&mut self) {
-        let packets = self.parent_batcher.drain();
-        let Some(parent) = &self.parent else {
-            self.parent_trace_outbox.clear();
-            return;
-        };
-        if !self.parent_trace_outbox.is_empty() {
-            let now = tracectx::wall_us();
-            let mut envs = Vec::with_capacity(self.parent_trace_outbox.len());
-            for (mut env, recv_us) in self.parent_trace_outbox.drain(..) {
-                env.add_hop(self.rank, recv_us, now);
-                envs.push(env);
-            }
-            self.metrics.trace_hops.add(envs.len() as u64);
-            self.metrics.trace_frames.inc();
-            if !packets.is_empty() {
-                self.metrics.batch_pkts.record_us(packets.len() as u64);
-            }
-            let frame = encode_traced_data_frame(&packets, &envs);
-            self.metrics.frames_encoded.inc();
-            let _ = parent.send(frame);
-            return;
-        }
-        if packets.is_empty() {
-            return;
-        }
-        self.metrics.batch_pkts.record_us(packets.len() as u64);
-        let frame = encode_data_frame(&packets);
-        self.metrics.frames_encoded.inc();
-        let _ = parent.send(frame);
-    }
-
-    /// Whether child `child` has packets or trace envelopes waiting
-    /// for a flush.
-    fn child_pending(&self, child: usize) -> bool {
-        !self.child_batchers[child].is_empty() || !self.child_trace_outbox[child].is_empty()
-    }
-
-    /// Whether the parent has packets or trace envelopes waiting for a
-    /// flush.
-    fn parent_pending(&self) -> bool {
-        !self.parent_batcher.is_empty() || !self.parent_trace_outbox.is_empty()
     }
 
     fn flush_all(&mut self) {
         for i in 0..self.children.len() {
-            if self.child_pending(i) {
-                self.flush_child(i);
+            self.flush_child(i);
+        }
+        match &mut self.up {
+            Upstream::Parent(link) => {
+                link.flush(self.rank, &self.metrics);
             }
-        }
-        if self.parent_pending() {
-            self.flush_parent();
-        }
-        self.flush_deliveries();
-    }
-
-    /// Root only: hands the packets delivered so far in this batch to
-    /// the mailbox, under one lock and at most one wake-up. Besides
-    /// `flush_all`, this runs before anything else the front-end can
-    /// observe (a stream failure, a ledger event, a metrics snapshot,
-    /// the close), so nothing overtakes a wave delivered before it.
-    fn flush_deliveries(&mut self) {
-        if self.deliveries.is_empty() {
-            return;
-        }
-        if let Some(delivery) = &self.delivery {
-            delivery.push_many(self.deliveries.drain(..));
+            Upstream::FrontEnd(fe) => fe.flush_deliveries(),
         }
     }
 
     /// Root only: marks `sid` as having lost every end-point, after
     /// the waves already delivered on it.
     fn fail_stream(&mut self, sid: StreamId) {
-        self.flush_deliveries();
-        if let Some(delivery) = &self.delivery {
-            delivery.fail_stream(sid);
+        if let Upstream::FrontEnd(fe) = &mut self.up {
+            fe.flush_deliveries();
+            fe.delivery.fail_stream(sid);
         }
     }
 
     /// Sends a frame that bypasses the batcher (control, introspection)
-    /// to child `child`. Whatever is batched for that child is flushed
+    /// to child `i`. Whatever is batched for that child is flushed
     /// first: the loop flushes once per inbox batch, and a frame sent
     /// around the batcher must never overtake packets the loop handled
     /// before it — a `DeleteStream` ahead of the stream's last data
     /// would make the child drop that data.
-    fn send_child(&mut self, child: usize, frame: Bytes) -> transport::Result<()> {
-        if self.child_pending(child) {
-            self.flush_child(child);
-        }
-        self.children[child].send(frame)
+    fn send_child(&mut self, i: usize, frame: Bytes) -> transport::Result<()> {
+        self.flush_child(i);
+        self.children[i].link.conn.send(frame)
     }
 
     /// [`NodeLoop::send_child`]'s upstream twin: flushes the parent's
     /// batcher and trace outbox, then sends `frame`, so a report never
-    /// overtakes a wave still waiting in the batcher. No-op at the
-    /// root.
+    /// overtakes a wave still waiting in the batcher. The front-end has
+    /// no wire: nothing is sent there.
     fn send_parent(&mut self, frame: Bytes) -> transport::Result<()> {
-        if self.parent_pending() {
-            self.flush_parent();
-        }
-        match &self.parent {
-            Some(parent) => parent.send(frame),
-            None => Ok(()),
-        }
+        let Upstream::Parent(link) = &mut self.up else {
+            return Ok(());
+        };
+        link.flush(self.rank, &self.metrics);
+        link.conn.send(frame)
     }
 
     /// Begins a metrics collection at this node: snapshot ourselves,
@@ -1429,26 +1247,21 @@ impl NodeLoop {
         let frame = encode_data_frame(std::slice::from_ref(&request));
         let mut outstanding = Vec::new();
         for i in 0..self.children.len() {
-            if !self.child_alive[i] {
-                continue;
-            }
             // A child whose request send failed is not waited for; its
             // `ChildClosed` declares it dead in frame order.
-            if self.send_child(i, frame.clone()).is_ok() {
+            if self.children[i].alive && self.send_child(i, frame.clone()).is_ok() {
                 outstanding.push(i);
             }
         }
         self.refresh_send_metrics();
-        self.collects.insert(
-            req_id,
-            MetricsCollect {
-                sections: vec![self.metrics.snapshot(self.rank)],
-                outstanding,
-                deadline: self.now() + timeout,
-                reply,
-            },
-        );
-        self.finish_if_complete(req_id);
+        let own = self.metrics.snapshot(self.rank);
+        let deadline = self.now() + timeout;
+        if let Some((req_id, collect)) =
+            self.collects
+                .start(req_id, own, outstanding, deadline, reply)
+        {
+            self.finish_collect(req_id, collect);
+        }
     }
 
     /// Handles a metrics request arriving from the parent: collect
@@ -1465,90 +1278,31 @@ impl NodeLoop {
     }
 
     /// Merges a child's metrics reply into the matching collection.
-    /// Replies for unknown request ids (stragglers past the deadline)
-    /// are dropped.
     fn on_metrics_reply(&mut self, child: usize, packet: &Packet) {
-        if packet.tag() != METRICS_REPLY {
-            return;
-        }
         let Ok((req_id, sections)) = introspect::decode_reply(packet) else {
             log_warn!(self.rank, "dropping malformed metrics reply");
             return;
         };
-        let Some(collect) = self.collects.get_mut(&req_id) else {
-            return;
-        };
-        collect.outstanding.retain(|&i| i != child);
-        collect.sections.extend(sections);
-        self.finish_if_complete(req_id);
-    }
-
-    fn finish_if_complete(&mut self, req_id: u32) {
-        let done = self
-            .collects
-            .get(&req_id)
-            .is_some_and(|c| c.outstanding.is_empty());
-        if done {
-            if let Some(collect) = self.collects.remove(&req_id) {
-                self.finish_collect(req_id, collect);
-            }
+        if let Some((req_id, collect)) = self.collects.on_reply(req_id, child, sections) {
+            self.finish_collect(req_id, collect);
         }
     }
 
     /// Delivers a finished (or expired) collection: to the front-end
     /// channel at the root, upstream as a reply packet elsewhere.
-    fn finish_collect(&mut self, req_id: u32, collect: MetricsCollect) {
+    fn finish_collect(&mut self, req_id: u32, collect: Collect) {
         match collect.reply {
             Some(tx) => {
                 // The snapshot counts what was delivered; let the
                 // mailbox hold it first.
-                self.flush_deliveries();
+                if let Upstream::FrontEnd(fe) = &mut self.up {
+                    fe.flush_deliveries();
+                }
                 let _ = tx.send(introspect::snapshot_from_sections(collect.sections));
             }
             None => {
-                if self.parent.is_some() {
-                    let reply = introspect::encode_reply(req_id, &collect.sections);
-                    let _ = self.send_parent(encode_data_frame(std::slice::from_ref(&reply)));
-                }
-            }
-        }
-    }
-
-    /// A child died: stop waiting for its reply in every in-flight
-    /// collection.
-    fn forget_collect_child(&mut self, child: usize) {
-        if self.collects.is_empty() {
-            return;
-        }
-        let ids: Vec<u32> = self.collects.keys().copied().collect();
-        for req_id in ids {
-            if let Some(collect) = self.collects.get_mut(&req_id) {
-                collect.outstanding.retain(|&i| i != child);
-            }
-            self.finish_if_complete(req_id);
-        }
-    }
-
-    /// Completes any collection whose deadline has passed with the
-    /// sections gathered so far.
-    fn expire_collects(&mut self, now: f64) {
-        if self.collects.is_empty() {
-            return;
-        }
-        let expired: Vec<u32> = self
-            .collects
-            .iter()
-            .filter(|(_, c)| now >= c.deadline)
-            .map(|(&id, _)| id)
-            .collect();
-        for req_id in expired {
-            if let Some(collect) = self.collects.remove(&req_id) {
-                log_warn!(
-                    self.rank,
-                    "metrics collection {req_id} timed out with {} children outstanding",
-                    collect.outstanding.len()
-                );
-                self.finish_collect(req_id, collect);
+                let reply = introspect::encode_reply(req_id, &collect.sections);
+                let _ = self.send_parent(encode_data_frame(std::slice::from_ref(&reply)));
             }
         }
     }
@@ -1597,13 +1351,13 @@ impl Turns for NodeLoop {
     fn stop(&mut self) {
         let frame = Control::Shutdown.to_frame();
         for i in 0..self.children.len() {
-            if self.child_alive[i] {
+            if self.children[i].alive {
                 let _ = self.send_child(i, frame.clone());
             }
         }
-        self.flush_deliveries();
-        if let Some(d) = &self.delivery {
-            d.close();
+        if let Upstream::FrontEnd(fe) = &mut self.up {
+            fe.flush_deliveries();
+            fe.delivery.close();
         }
     }
 }

@@ -111,8 +111,11 @@ pub fn decode_reply(packet: &Packet) -> Result<(u32, Vec<MetricsSection>)> {
     Ok((req_id, sections))
 }
 
-/// Folds sections into a [`NetworkSnapshot`].
-pub fn snapshot_from_sections(sections: Vec<MetricsSection>) -> NetworkSnapshot {
+/// Folds sections into a [`NetworkSnapshot`], in rank order: replies
+/// arrive in whatever order the subtrees answered, and every rendering
+/// of the snapshot lists nodes in its order.
+pub fn snapshot_from_sections(mut sections: Vec<MetricsSection>) -> NetworkSnapshot {
+    sections.sort_by_key(|s| s.rank);
     NetworkSnapshot { nodes: sections }
 }
 

@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mrnet::internal::process::{Inbound, NodeLoop};
+use mrnet::internal::process::{Inbound, Link, NodeLoop, Upstream};
 use mrnet::internal::sched::Inbox;
 use mrnet::introspect::{encode_request, METRICS_STREAM, TRACE_REPORT};
 use mrnet::obs::tracectx::TraceEnvelope;
@@ -64,13 +64,10 @@ fn rig(n: usize) -> Rig {
     let mut node = NodeLoop::new(
         1,
         FilterRegistry::with_builtins(),
-        Some(Arc::new(up)),
-        children.clone(),
-        None,
-        None,
+        Upstream::Parent(Link::new(Arc::new(up))),
+        (0..n).map(rank).zip(children.clone()).collect(),
         inbox,
     );
-    node.set_child_ranks((0..n).map(rank).collect());
     node.setup().unwrap();
     let report = decode_frame(parent.recv().unwrap()).unwrap();
     assert!(matches!(report, Frame::Control(_)));

@@ -4,7 +4,7 @@
 //! is future work in the paper too; these tests pin down today's
 //! containment behavior.)
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mrnet::{launch_local, MrnetError, NetworkBuilder, SyncMode, TopologyEvent, Value};
 use mrnet_packet::bytes::Bytes;
@@ -54,6 +54,47 @@ fn dead_backend_prunes_wait_for_all_and_fails_drained_streams() {
         Err(MrnetError::AllEndpointsFailed)
     );
     net.shutdown();
+}
+
+/// A back-end learns of a sibling's death from the report relayed down
+/// to it: the event and the failed set arrive while its tool thread
+/// waits in `recv_timeout`.
+#[test]
+fn backend_hears_of_a_sibling_death_while_receiving() {
+    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
+    let dep = launch_local(topo).unwrap();
+    let mut backends = dep.backends;
+    let victim = backends.remove(0);
+    let victim_rank = victim.rank();
+    let sibling = &backends[0];
+    assert_eq!(sibling.try_next_event(), None);
+    assert!(sibling.failed_ranks().is_empty());
+    drop(victim);
+
+    let deadline = Instant::now() + TIMEOUT;
+    let event = loop {
+        assert!(matches!(
+            sibling.recv_timeout(Duration::from_millis(20)),
+            Ok(None)
+        ));
+        if let Some(event) = sibling.try_next_event() {
+            break event;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no RankFailed reached the sibling"
+        );
+    };
+    assert_eq!(
+        event,
+        TopologyEvent::RankFailed {
+            rank: victim_rank,
+            subtree: vec![victim_rank]
+        }
+    );
+    assert_eq!(sibling.failed_ranks(), vec![victim_rank]);
+    assert_eq!(sibling.try_next_event(), None);
+    dep.network.shutdown();
 }
 
 /// A transform filter that rejects a wave drops that wave only: the

@@ -7,14 +7,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mrnet::internal::process::{Command, Inbound, NodeLoop};
+use mrnet::internal::process::{Command, FrontEnd, Inbound, NodeLoop, Upstream};
 use mrnet::internal::sched::Inbox;
 use mrnet::introspect;
 use mrnet::proto::{encode_data_frame, Control};
 use mrnet::{
-    Delivery, FilterRegistry, MrnetError, Packet, PacketBuilder, Rank, StreamDef, StreamId,
-    SyncMode, TraceEnvelope, Value,
+    Delivery, FailureLedger, FilterRegistry, MrnetError, Packet, PacketBuilder, Rank, StreamDef,
+    StreamId, SyncMode, TraceAssembler, TraceEnvelope, Value,
 };
+use mrnet_transport::chan::unbounded;
 use mrnet_transport::{Connection, LocalConnection, SharedConnection};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -50,16 +51,20 @@ fn root_loop(
     let delivery = Arc::new(Delivery::new());
     let inbox = NodeLoop::inbox();
     let tx = inbox.0.clone();
+    let front_end = FrontEnd::new(
+        delivery.clone(),
+        unbounded().0,
+        Arc::new(FailureLedger::new()),
+        Arc::new(TraceAssembler::new()),
+    );
+    let children = ranks.into_iter().zip(near).collect();
     let mut node = NodeLoop::new(
         0,
         FilterRegistry::with_builtins(),
-        None,
-        near,
-        Some(delivery.clone()),
-        None,
+        Upstream::FrontEnd(front_end),
+        children,
         inbox,
     );
-    node.set_child_ranks(ranks);
     node.setup().unwrap();
     (node, tx, delivery, far)
 }

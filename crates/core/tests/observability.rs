@@ -383,6 +383,50 @@ fn backend_and_root_byte_counts_agree_on_a_relay_stream() {
     }
 }
 
+/// Snapshot sections come in rank order, whichever subtree answered
+/// first, so two exports of one idle tree list the ranks, and so place
+/// each metric's `# HELP`/`# TYPE` lines, the same way.
+#[test]
+fn exports_list_ranks_in_ascending_order() {
+    let _untraced = TRACE_GATE.read();
+    let dep = launch_local(generator::balanced(2, 2, &mut pool()).unwrap()).unwrap();
+    let net = dep.network.clone();
+    let handles: Vec<JoinHandle<()>> = (dep.backends.into_iter())
+        .map(|be| std::thread::spawn(move || pump(&be)))
+        .collect();
+    let mut orders = Vec::new();
+    for _ in 0..2 {
+        let export = net.export_metrics(TIMEOUT).unwrap();
+        let nodes: Vec<u32> = export.snapshot.nodes.iter().map(|s| s.rank).collect();
+        let mut ascending = nodes.clone();
+        ascending.sort_unstable();
+        assert_eq!(nodes, ascending);
+        assert_eq!(nodes.len(), 7, "every node answered");
+        // Series in the order the export renders them, one entry per
+        // run of one rank; the front-end's trace section (rank 0)
+        // renders after the nodes.
+        let mut series: Vec<u32> = (export.prometheus.lines())
+            .filter_map(|line| {
+                line.split_once("rank=\"")?
+                    .1
+                    .split('"')
+                    .next()?
+                    .parse()
+                    .ok()
+            })
+            .collect();
+        series.dedup();
+        assert!(series.starts_with(&nodes), "{series:?}");
+        assert!(series[nodes.len()..].iter().all(|&r| r == 0), "{series:?}");
+        orders.push(nodes);
+    }
+    assert_eq!(orders[0], orders[1]);
+    net.shutdown();
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
 /// Every name a traced tree reports, in its snapshot and in both export
 /// renderings, belongs to the catalogue (`mrnet_obs::metrics::METRICS`);
 /// a histogram's entries belong to their base name.

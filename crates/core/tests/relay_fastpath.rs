@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mrnet::internal::process::NodeLoop;
+use mrnet::internal::process::{Link, NodeLoop, Upstream};
 use mrnet::proto::{decode_frame, encode_data_frame, Control, Frame};
 use mrnet::{
     launch_local, FilterRegistry, MetricsSection, MrnetError, NetworkSnapshot, Packet,
@@ -159,13 +159,10 @@ fn relayed_frame_reaches_the_root_byte_identical() {
     let mut node = NodeLoop::new(
         1,
         FilterRegistry::with_builtins(),
-        Some(Arc::new(up_near) as SharedConnection),
-        vec![Arc::new(down_near) as SharedConnection],
-        None,
-        None,
+        Upstream::Parent(Link::new(Arc::new(up_near))),
+        vec![(5, Arc::new(down_near) as SharedConnection)],
         NodeLoop::inbox(),
     );
-    node.set_child_ranks(vec![5]);
     node.setup().unwrap();
 
     let def = StreamDef {

@@ -10,14 +10,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mrnet::internal::process::{Command, Inbound, NodeLoop};
+use mrnet::internal::process::{Command, FrontEnd, Inbound, NodeLoop, Upstream};
 use mrnet::internal::sched::Inbox;
 use mrnet::proto::{decode_frame, Control, Frame};
 use mrnet::{
-    launch_local, FilterRegistry, MrnetError, PacketBuilder, Rank, StreamDef, StreamId, SyncMode,
-    Value,
+    launch_local, Delivery, FailureLedger, FilterRegistry, MrnetError, PacketBuilder, Rank,
+    StreamDef, StreamId, SyncMode, TraceAssembler, Value,
 };
 use mrnet_topology::{generator, HostPool};
+use mrnet_transport::chan::unbounded;
 use mrnet_transport::{Connection, LocalConnection, SharedConnection};
 
 const TIMEOUT: Duration = Duration::from_secs(20);
@@ -87,7 +88,7 @@ fn multicast_wave_encodes_once_and_shares_with_siblings() {
     }
 }
 
-/// A root loop (no parent, no delivery mailbox) over `n` in-process
+/// A root loop (its mailbox never read) over `n` in-process
 /// children whose far ends the test holds: set up, each child having
 /// reported itself as one back-end, but not yet running. Returned with
 /// its inbox sender.
@@ -111,16 +112,20 @@ fn root_loop(n: usize) -> (NodeLoop, Inbox<Inbound>, Vec<LocalConnection>) {
     }
     let inbox = NodeLoop::inbox();
     let tx = inbox.0.clone();
+    let front_end = FrontEnd::new(
+        Arc::new(Delivery::new()),
+        unbounded().0,
+        Arc::new(FailureLedger::new()),
+        Arc::new(TraceAssembler::new()),
+    );
+    let children = ranks.into_iter().zip(near).collect();
     let mut node = NodeLoop::new(
         0,
         FilterRegistry::with_builtins(),
-        None,
-        near,
-        None,
-        None,
+        Upstream::FrontEnd(front_end),
+        children,
         inbox,
     );
-    node.set_child_ranks(ranks);
     node.setup().unwrap();
     (node, tx, far)
 }
