@@ -11,8 +11,9 @@ use std::sync::Arc;
 use mrnet_filters::FilterRegistry;
 use mrnet_transport::{Listener, RetryPolicy, SharedConnection, TcpTransportListener};
 
-use crate::internal::process::{Link, NodeLoop, Upstream};
-use crate::procspawn::{accept_children, plan_children, spawn_internal_children};
+use crate::instantiate::{bring_up, NodeStart};
+use crate::internal::process::{Link, Upstream};
+use crate::procspawn::{plan_children, spawn_internal_children};
 use crate::proto::{decode_frame, Control, Frame};
 use crate::slice::SubtreeSlice;
 
@@ -86,14 +87,10 @@ pub fn run(
             .send(Control::AttachInfo { ranks, endpoints }.to_frame())
             .map_err(|e| format!("cannot advertise attach points: {e}"))?;
     }
-    let children = accept_children(&listener, &view, &plan).map_err(|e| e.to_string())?;
-
-    let children = plan.order.iter().copied().zip(children).collect();
     let up = Upstream::Parent(Link::new(parent));
-    let mut node = NodeLoop::new(rank, registry, up, children, NodeLoop::inbox());
-    node.metrics().connect_retries.add(u64::from(retries));
-    node.setup().map_err(|e| format!("setup failed: {e}"))?;
-    node.run();
+    let start = NodeStart::new(rank, registry, up).attached(listener, view);
+    start.metrics().connect_retries.add(u64::from(retries));
+    bring_up(start).map_err(|e| format!("bring-up failed: {e}"))?;
 
     for child in &mut spawned {
         let _ = child.wait();

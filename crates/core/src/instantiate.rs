@@ -13,6 +13,10 @@
 //!   the paper, by a job manager such as IBM POE) and attach to leaf
 //!   processes using published rendezvous information.
 //!
+//! Every launch brings each internal node up the same way
+//! (`bring_up`) and publishes its attach points on one channel
+//! ([`PendingNetwork::collect_attach_points`]).
+//!
 //! In this reproduction a "process" is a thread; the remote-creation
 //! cost model lives in [`crate::simulate`]. Frames travel over
 //! in-process channels or real TCP sockets, selected by
@@ -20,13 +24,13 @@
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mrnet_filters::FilterRegistry;
-use mrnet_obs::{log_error, TraceAssembler};
+use mrnet_obs::{log_error, NodeMetrics, TraceAssembler};
 use mrnet_packet::Rank;
-use mrnet_topology::{Role, Topology};
-use mrnet_transport::chan::{bounded, unbounded, Receiver};
+use mrnet_topology::{NodeId, Role, Topology};
+use mrnet_transport::chan::{bounded, unbounded, Receiver, Sender};
 use mrnet_transport::{
     Listener, LocalConnection, LocalFabric, RetryPolicy, SharedConnection, TcpTransportListener,
 };
@@ -38,7 +42,9 @@ use crate::event::FailureLedger;
 use crate::internal::process::{FrontEnd, Inbound, Link, NodeLoop, Upstream};
 use crate::internal::sched::Inbox;
 use crate::network::Network;
-use crate::proto::{decode_frame, Control, Frame};
+use crate::procspawn::{accept_children, plan_children, spawn_internal_children};
+use crate::proto::Control;
+use crate::slice::{SubtreeSlice, SubtreeView};
 
 /// Which wire carries frames between the thread-processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,6 +76,9 @@ pub struct AttachPoint {
     pub endpoint: String,
 }
 
+/// How long mode 1 waits for the whole tree to report.
+const LAUNCH_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// A mode-2 network whose internal tree is up but whose back-ends have
 /// not all attached yet.
 pub struct PendingNetwork {
@@ -80,72 +89,98 @@ pub struct PendingNetwork {
     ledger: Arc<FailureLedger>,
     assembler: Arc<TraceAssembler>,
     joins: Vec<JoinHandle<()>>,
-    attach_points: Vec<AttachPoint>,
     fabric: LocalFabric,
     /// OS pids of the commnode processes spawned directly by the
     /// front-end ([`launch_processes`] deployments only), for tools and
     /// tests that exercise failure injection.
     commnode_pids: Vec<u32>,
-    /// Rendezvous advertisements harvested from the tree during
-    /// process instantiation ([`launch_processes`]); thread-based
-    /// instantiation fills `attach_points` statically instead.
-    attach_rx: Option<Receiver<(Rank, String)>>,
+    /// Rendezvous advertisements: the ones the launch published, then
+    /// the ones commnode processes relay up the tree as they come up.
+    attach_rx: Receiver<(Rank, String)>,
     expected_backends: usize,
 }
 
 impl PendingNetwork {
-    /// The rendezvous points back-ends must attach to, in topology BFS
-    /// leaf order (the paper's "leaf processes' host names and
-    /// connection port numbers"). Empty for [`launch_processes`]
-    /// deployments, whose advertisements arrive dynamically — use
-    /// [`PendingNetwork::collect_attach_points`] there.
-    pub fn attach_points(&self) -> &[AttachPoint] {
-        &self.attach_points
+    /// The front-end's side of a launch of `topology`, and the start
+    /// of its root node, with no children yet. `published` go into the
+    /// attach channel at once.
+    fn new(
+        registry: FilterRegistry,
+        topology: &Topology,
+        published: Vec<(Rank, String)>,
+    ) -> Result<(PendingNetwork, NodeStart)> {
+        let expected_backends = topology.num_backends();
+        if expected_backends == 0 {
+            return Err(MrnetError::Instantiation(
+                "topology has no back-ends".into(),
+            ));
+        }
+        let delivery = Arc::new(Delivery::new());
+        let ledger = Arc::new(FailureLedger::new());
+        let assembler = Arc::new(TraceAssembler::new());
+        let (ready_tx, ready_rx) = bounded(1);
+        let (attach_tx, attach_rx) = unbounded();
+        for point in published {
+            let _ = attach_tx.send(point);
+        }
+        let front_end = FrontEnd::new(
+            delivery.clone(),
+            attach_tx,
+            ledger.clone(),
+            assembler.clone(),
+        );
+        let up = Upstream::FrontEnd(front_end);
+        let mut root = NodeStart::new(topology.root().0 as Rank, registry.clone(), up);
+        root.ready = Some(ready_tx);
+        let pending = PendingNetwork {
+            ready_rx,
+            cmd_tx: root.inbox.0.clone(),
+            delivery,
+            registry,
+            ledger,
+            assembler,
+            joins: Vec::new(),
+            fabric: LocalFabric::new(),
+            commnode_pids: Vec::new(),
+            attach_rx,
+            expected_backends,
+        };
+        Ok((pending, root))
     }
 
     /// Waits until every back-end slot's rendezvous advertisement has
-    /// flowed up from the (still-instantiating) tree, then returns all
-    /// attach points sorted by rank. Works for both instantiation
-    /// styles.
+    /// arrived, then returns all attach points sorted by rank (the
+    /// paper's "leaf processes' host names and connection port
+    /// numbers"). Sibling back-ends share their parent's endpoint.
     pub fn collect_attach_points(&self, timeout: Duration) -> Result<Vec<AttachPoint>> {
-        let mut points: Vec<AttachPoint> = self.attach_points.clone();
-        if let Some(rx) = &self.attach_rx {
-            // A deadline past what `Instant` can hold is no deadline.
-            let deadline = std::time::Instant::now().checked_add(timeout);
-            while points.len() < self.expected_backends {
-                let left = deadline.map_or(Duration::MAX, |d| {
-                    d.saturating_duration_since(std::time::Instant::now())
-                });
-                if left.is_zero() {
-                    return Err(MrnetError::Instantiation(format!(
-                        "only {} of {} attach points advertised before timeout",
-                        points.len(),
-                        self.expected_backends
-                    )));
-                }
-                match rx.recv_timeout(left) {
-                    Ok((rank, endpoint)) => points.push(AttachPoint { rank, endpoint }),
-                    Err(_) => {
-                        return Err(MrnetError::Instantiation(
-                            "attach-point channel closed during instantiation".into(),
-                        ))
-                    }
-                }
-            }
+        // A deadline past what `Instant` can hold is no deadline.
+        let deadline = Instant::now().checked_add(timeout);
+        let mut points = Vec::with_capacity(self.expected_backends);
+        while points.len() < self.expected_backends {
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            let (rank, endpoint) = self.attach_rx.recv_timeout(left).map_err(|_| {
+                MrnetError::Instantiation(format!(
+                    "only {} of {} attach points advertised",
+                    points.len(),
+                    self.expected_backends
+                ))
+            })?;
+            points.push(AttachPoint { rank, endpoint });
         }
         points.sort_by_key(|p| p.rank);
         Ok(points)
     }
 
-    /// Incremental rendezvous advertisements for [`launch_processes`]
-    /// deployments. In topologies where an internal process has both
-    /// internal children and directly attached back-ends, later
-    /// advertisements can only flow once earlier back-ends have
-    /// attached — consume this stream and attach back-ends as their
-    /// points appear instead of calling
-    /// [`PendingNetwork::collect_attach_points`]. Use one or the
-    /// other: both drain the same channel.
-    pub fn attach_events(&self) -> Option<Receiver<(Rank, String)>> {
+    /// The rendezvous advertisements as they arrive. In process mode,
+    /// where an internal process has both internal children and
+    /// directly attached back-ends, later advertisements can only flow
+    /// once earlier back-ends have attached: consume this stream and
+    /// attach back-ends as their points appear instead of calling
+    /// [`PendingNetwork::collect_attach_points`]. Use one or the other:
+    /// both drain the same channel.
+    pub fn attach_events(&self) -> Receiver<(Rank, String)> {
         self.attach_rx.clone()
     }
 
@@ -181,19 +216,120 @@ impl PendingNetwork {
     }
 }
 
-/// One side of an edge handed to a node thread.
-enum ChildSlot {
-    /// Connection already established (mode 1).
-    Ready(SharedConnection),
-    /// Wait for a back-end to attach (mode 2); carries the expected
-    /// rank and the listener.
-    Accept(Rank, Box<dyn Listener>),
+/// A node as its launcher hands it over to [`bring_up`].
+pub(crate) struct NodeStart {
+    rank: Rank,
+    registry: FilterRegistry,
+    up: Upstream,
+    inbox: (Inbox<Inbound>, Receiver<Inbound>),
+    /// The children in child order, each with the edge its launcher
+    /// connected, or `None` if it attaches on `listener`.
+    children: Vec<(Rank, Option<SharedConnection>)>,
+    listener: Option<Box<dyn Listener>>,
+    /// Process mode: the configuration each internal child is handed
+    /// once it has attached.
+    launch: Option<SubtreeView>,
+    /// The root's: where the network's end-points go once it is set up.
+    ready: Option<Sender<Vec<Rank>>>,
 }
 
-/// What `launch_inner` produced.
-enum Launched {
-    Full(Deployment),
-    Pending(PendingNetwork),
+impl NodeStart {
+    /// A node with no children yet under `up`.
+    pub(crate) fn new(rank: Rank, registry: FilterRegistry, up: Upstream) -> NodeStart {
+        NodeStart {
+            rank,
+            registry,
+            up,
+            inbox: NodeLoop::inbox(),
+            children: Vec::new(),
+            listener: None,
+            launch: None,
+            ready: None,
+        }
+    }
+
+    /// Process mode: every child of `view`'s root attaches on
+    /// `listener`, and each internal one is then handed its slice of
+    /// `view`.
+    pub(crate) fn attached(
+        mut self,
+        listener: TcpTransportListener,
+        view: SubtreeView,
+    ) -> NodeStart {
+        self.children = view
+            .children()
+            .into_iter()
+            .map(|(rank, _)| (rank, None))
+            .collect();
+        self.listener = Some(Box::new(listener));
+        self.launch = Some(view);
+        self
+    }
+
+    /// This node's metrics instruments.
+    pub(crate) fn metrics(&self) -> &NodeMetrics {
+        self.inbox.0.slot().metrics()
+    }
+}
+
+/// Brings a node up, the same way in every launch mode (§2.5): accepts
+/// the children that attach, hands internal children their
+/// configuration (process mode), builds the node's loop, collects the
+/// subtree reports, gives the end-points to the launcher at the root,
+/// then runs the loop until shutdown.
+pub(crate) fn bring_up(start: NodeStart) -> Result<()> {
+    let attaching: Vec<Rank> = start
+        .children
+        .iter()
+        .filter(|(_, edge)| edge.is_none())
+        .map(|&(rank, _)| rank)
+        .collect();
+    let mut accepted = match start.listener {
+        Some(listener) => accept_children(listener.as_ref(), &attaching)?,
+        None => Vec::new(),
+    }
+    .into_iter();
+    let children: Vec<(Rank, SharedConnection)> = start
+        .children
+        .into_iter()
+        .map(|(rank, edge)| {
+            let conn = edge.or_else(|| accepted.next());
+            (rank, conn.expect("a listener for every attaching child"))
+        })
+        .collect();
+    if let Some(view) = &start.launch {
+        for ((rank, is_backend), (_, conn)) in view.children().into_iter().zip(&children) {
+            if !is_backend {
+                let slice = view.slice_for(rank)?;
+                let (ranks, parents) = (slice.ranks, slice.parents);
+                conn.send(Control::Launch { ranks, parents }.to_frame())?;
+            }
+        }
+    }
+    let mut node = NodeLoop::new(start.rank, start.registry, start.up, children, start.inbox);
+    let endpoints = node.setup()?;
+    if let Some(ready) = start.ready {
+        let _ = ready.send(endpoints);
+    }
+    node.run();
+    Ok(())
+}
+
+/// Runs [`bring_up`] on a new thread named `name`, then `after` once
+/// the node has shut down.
+fn spawn_node(
+    name: String,
+    start: NodeStart,
+    after: impl FnOnce() + Send + 'static,
+) -> Result<JoinHandle<()>> {
+    let rank = start.rank;
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || match bring_up(start) {
+            Ok(()) => after(),
+            Err(e) => log_error!(rank, "bring-up failed: {e}"),
+        })
+        .map_err(|e| MrnetError::Instantiation(e.to_string()))
 }
 
 /// Builds and launches MRNet networks from a topology.
@@ -201,7 +337,6 @@ pub struct NetworkBuilder {
     topology: Topology,
     registry: FilterRegistry,
     transport: WireTransport,
-    ready_timeout: Duration,
 }
 
 impl NetworkBuilder {
@@ -212,7 +347,6 @@ impl NetworkBuilder {
             topology,
             registry: FilterRegistry::with_builtins(),
             transport: WireTransport::Channels,
-            ready_timeout: Duration::from_secs(60),
         }
     }
 
@@ -229,29 +363,23 @@ impl NetworkBuilder {
         self
     }
 
-    /// Overrides the instantiation timeout.
-    pub fn ready_timeout(mut self, timeout: Duration) -> NetworkBuilder {
-        self.ready_timeout = timeout;
-        self
-    }
-
     /// Mode-1 instantiation: create every process in the tree and
     /// return the front-end plus all back-end handles.
     pub fn launch(self) -> Result<Deployment> {
-        match self.launch_inner(false)? {
-            Launched::Full(d) => Ok(d),
-            Launched::Pending(_) => unreachable!("mode 1 yields a full deployment"),
-        }
+        let (pending, edges) = self.launch_tree(false)?;
+        let backends = edges
+            .into_iter()
+            .map(|(rank, conn)| Backend::new(rank, conn))
+            .collect::<Result<_>>()?;
+        let network = pending.wait(LAUNCH_TIMEOUT)?;
+        Ok(Deployment { network, backends })
     }
 
     /// Mode-2 instantiation: create only the internal tree; leaves of
     /// the topology become attach points for externally created
     /// back-ends.
     pub fn launch_internal(self) -> Result<PendingNetwork> {
-        match self.launch_inner(true)? {
-            Launched::Pending(p) => Ok(p),
-            Launched::Full(_) => unreachable!("mode 2 yields a pending network"),
-        }
+        Ok(self.launch_tree(true)?.0)
     }
 
     fn make_edge(
@@ -279,201 +407,69 @@ impl NetworkBuilder {
         }
     }
 
-    fn launch_inner(self, attach_mode: bool) -> Result<Launched> {
+    /// Starts one thread per internal node. In mode 2 (`attach`), each
+    /// node with back-end children listens for them and publishes its
+    /// endpoint as their attach point; in mode 1 the launcher connects
+    /// every back-end's edge and returns the back-end ends, in topology
+    /// BFS order.
+    fn launch_tree(self, attach: bool) -> Result<(PendingNetwork, Vec<(Rank, SharedConnection)>)> {
         let topo = &self.topology;
-        if topo.num_backends() == 0 {
-            return Err(MrnetError::Instantiation(
-                "topology has no back-ends".into(),
-            ));
-        }
         let fabric = LocalFabric::new();
-        let n = topo.len();
-        let mut parent_side: Vec<Option<SharedConnection>> = (0..n).map(|_| None).collect();
-        let mut child_side: Vec<Option<SharedConnection>> = (0..n).map(|_| None).collect();
-        let mut leaf_listener: Vec<Option<Box<dyn Listener>>> = (0..n).map(|_| None).collect();
-        let mut attach_points = Vec::new();
-
-        for id in topo.bfs() {
-            for &child in topo.children(id) {
-                let is_backend = topo.role(child) == Role::BackEnd;
-                if attach_mode && is_backend {
-                    let rank = child.0 as Rank;
-                    let (listener, endpoint): (Box<dyn Listener>, String) = match self.transport {
-                        WireTransport::Channels => {
-                            let name = format!("mrnet-be-{rank}");
-                            (Box::new(fabric.listen(&name)), name)
-                        }
-                        WireTransport::Tcp => {
-                            let l = TcpTransportListener::bind("127.0.0.1:0")
-                                .map_err(MrnetError::Transport)?;
-                            let addr = l.addr();
-                            (Box::new(l), addr)
-                        }
-                    };
-                    leaf_listener[child.0] = Some(listener);
-                    attach_points.push(AttachPoint { rank, endpoint });
-                } else {
-                    let (p, c) = self.make_edge(&topo.label(id), &topo.label(child))?;
-                    parent_side[child.0] = Some(p);
-                    child_side[child.0] = Some(c);
+        // Each node's end of the edge to its parent.
+        let mut up_edge: Vec<Option<SharedConnection>> = vec![None; topo.len()];
+        let mut nodes = Vec::new();
+        let mut points = Vec::new();
+        let bfs = topo.bfs();
+        for &id in bfs.iter().filter(|&&id| topo.role(id) != Role::BackEnd) {
+            let is_backend = |&c: &NodeId| topo.role(c) == Role::BackEnd;
+            // In mode 2, where the node's back-ends attach.
+            let listener: Option<Box<dyn Listener>> = match self.transport {
+                _ if !attach || !topo.children(id).iter().any(is_backend) => None,
+                WireTransport::Channels => {
+                    Some(Box::new(fabric.listen(&format!("mrnet-node-{}", id.0))))
                 }
-            }
-        }
-
-        let mut joins = Vec::new();
-        let delivery = Arc::new(Delivery::new());
-        let ledger = Arc::new(FailureLedger::new());
-        let assembler = Arc::new(TraceAssembler::new());
-        let (ready_tx, ready_rx) = bounded(1);
-        let root_inbox = NodeLoop::inbox();
-        let cmd_tx = root_inbox.0.clone();
-
-        for id in topo.bfs() {
-            let role = topo.role(id);
-            if role == Role::BackEnd {
-                continue;
-            }
-            let rank = id.0 as Rank;
-            let registry = self.registry.clone();
-            let child_ranks: Vec<Rank> = topo.children(id).iter().map(|c| c.0 as Rank).collect();
-            let (up, inbox, ready) = if role == Role::FrontEnd {
-                // No commnode process runs here, so no rendezvous
-                // advertisement ever arrives: `attach` has no receiver.
-                let front_end = FrontEnd::new(
-                    delivery.clone(),
-                    unbounded().0,
-                    ledger.clone(),
-                    assembler.clone(),
-                );
-                let ready = Some(ready_tx.clone());
-                (Upstream::FrontEnd(front_end), root_inbox.clone(), ready)
-            } else {
-                // This node's upward link is the child side of the
-                // edge between it and its parent.
-                let parent = child_side[id.0].take().expect("edge created");
-                (Upstream::Parent(Link::new(parent)), NodeLoop::inbox(), None)
+                WireTransport::Tcp => Some(Box::new(TcpTransportListener::bind("127.0.0.1:0")?)),
             };
-            let mut slots: Vec<ChildSlot> = Vec::new();
+            let mut children = Vec::new();
             for &child in topo.children(id) {
-                if let Some(listener) = leaf_listener[child.0].take() {
-                    slots.push(ChildSlot::Accept(child.0 as Rank, listener));
-                } else {
-                    slots.push(ChildSlot::Ready(
-                        parent_side[child.0].take().expect("edge created"),
-                    ));
-                }
-            }
-            let label = topo.label(id);
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("mrnet-{label}"))
-                    .spawn(move || {
-                        let children = match resolve_slots(slots) {
-                            Ok(c) => c,
-                            Err(e) => {
-                                log_error!(rank, "attach failed: {e}");
-                                return;
-                            }
-                        };
-                        let children = child_ranks.into_iter().zip(children).collect();
-                        let mut node = NodeLoop::new(rank, registry, up, children, inbox);
-                        match node.setup() {
-                            Ok(endpoints) => {
-                                if let Some(ready) = ready {
-                                    let _ = ready.send(endpoints);
-                                }
-                            }
-                            Err(e) => {
-                                log_error!(rank, "setup failed: {e}");
-                                return;
-                            }
-                        }
-                        node.run();
-                    })
-                    .map_err(|e| MrnetError::Instantiation(e.to_string()))?,
-            );
-        }
-
-        if attach_mode {
-            return Ok(Launched::Pending(PendingNetwork {
-                ready_rx,
-                cmd_tx,
-                delivery,
-                registry: self.registry,
-                ledger,
-                assembler,
-                joins,
-                attach_points,
-                fabric,
-                commnode_pids: Vec::new(),
-                attach_rx: None,
-                expected_backends: 0,
-            }));
-        }
-
-        // Mode 1: create the back-end handles (each announces itself
-        // with a subtree report).
-        let mut backends = Vec::new();
-        for id in topo.bfs() {
-            if topo.role(id) != Role::BackEnd {
-                continue;
-            }
-            let conn = child_side[id.0].take().expect("edge created");
-            backends.push(Backend::new(id.0 as Rank, conn)?);
-        }
-
-        let endpoints = ready_rx
-            .recv_timeout(self.ready_timeout)
-            .map_err(|_| MrnetError::Instantiation("instantiation timed out".into()))?;
-        let network = Network::from_parts(
-            cmd_tx,
-            delivery,
-            endpoints,
-            self.registry,
-            ledger,
-            assembler,
-            joins,
-        );
-        Ok(Launched::Full(Deployment { network, backends }))
-    }
-}
-
-/// Resolves pending child slots: mode-2 slots block until their
-/// back-end attaches and its `Attach` handshake is validated.
-fn resolve_slots(slots: Vec<ChildSlot>) -> Result<Vec<SharedConnection>> {
-    let mut conns = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot {
-            ChildSlot::Ready(c) => conns.push(c),
-            ChildSlot::Accept(expected_rank, listener) => {
-                let conn: SharedConnection =
-                    Arc::from(listener.accept().map_err(MrnetError::Transport)?);
-                let frame = conn.recv().map_err(MrnetError::Transport)?;
-                match decode_frame(frame)? {
-                    Frame::Control(pkt) => match Control::from_packet(&pkt)? {
-                        Control::Attach { rank } if rank == expected_rank => {}
-                        Control::Attach { rank } => {
-                            return Err(MrnetError::Instantiation(format!(
-                                "back-end rank {rank} attached to slot expecting {expected_rank}"
-                            )))
-                        }
-                        other => {
-                            return Err(MrnetError::Protocol(format!(
-                                "expected Attach, got {other:?}"
-                            )))
-                        }
-                    },
-                    Frame::Data(_) | Frame::Traced(..) => {
-                        return Err(MrnetError::Protocol(
-                            "data frame before Attach handshake".into(),
-                        ))
+                let rank = child.0 as Rank;
+                match &listener {
+                    Some(listener) if is_backend(&child) => {
+                        points.push((rank, listener.addr()));
+                        children.push((rank, None));
+                    }
+                    _ => {
+                        let (p, c) = self.make_edge(&topo.label(id), &topo.label(child))?;
+                        up_edge[child.0] = Some(c);
+                        children.push((rank, Some(p)));
                     }
                 }
-                conns.push(conn);
             }
+            nodes.push((id, children, listener));
         }
+
+        let (mut pending, root) = PendingNetwork::new(self.registry.clone(), topo, points)?;
+        pending.fabric = fabric;
+        let mut root = Some(root);
+        for (id, children, listener) in nodes {
+            let mut start = match up_edge[id.0].take() {
+                Some(parent) => {
+                    let up = Upstream::Parent(Link::new(parent));
+                    NodeStart::new(id.0 as Rank, self.registry.clone(), up)
+                }
+                None => root.take().expect("one root"),
+            };
+            start.children = children;
+            start.listener = listener;
+            let name = format!("mrnet-{}", topo.label(id));
+            pending.joins.push(spawn_node(name, start, || {})?);
+        }
+        let edges = bfs
+            .iter()
+            .filter_map(|id| Some((id.0 as Rank, up_edge[id.0].take()?)))
+            .collect();
+        Ok((pending, edges))
     }
-    Ok(conns)
 }
 
 /// Convenience: mode-1 instantiation over in-process channels with the
@@ -509,78 +505,21 @@ pub fn launch_processes_with_registry(
     commnode_exe: &std::path::Path,
     registry: FilterRegistry,
 ) -> Result<PendingNetwork> {
-    use crate::procspawn::{accept_children, plan_children, spawn_internal_children};
-    use crate::slice::SubtreeSlice;
-
-    let expected_backends = topology.num_backends();
-    if expected_backends == 0 {
-        return Err(MrnetError::Instantiation(
-            "topology has no back-ends".into(),
-        ));
-    }
-    let delivery = Arc::new(Delivery::new());
-    let ledger = Arc::new(FailureLedger::new());
-    let assembler = Arc::new(TraceAssembler::new());
-    let (ready_tx, ready_rx) = bounded(1);
-    let (attach_tx, attach_rx) = unbounded();
-    let root_inbox = NodeLoop::inbox();
-    let cmd_tx = root_inbox.0.clone();
-
     let listener = TcpTransportListener::bind("127.0.0.1:0")?;
     let view = SubtreeSlice::of(&topology, topology.root()).view()?;
     let plan = plan_children(&view, &listener.addr());
-    // Back-ends attached directly to the front-end rendezvous here.
-    for (rank, endpoint) in plan.advertise.clone() {
-        let _ = attach_tx.send((rank, endpoint));
-    }
+    // The root's own back-ends attach at the front-end's listener.
+    let (mut pending, root) = PendingNetwork::new(registry, &topology, plan.advertise.clone())?;
     let mut spawned = spawn_internal_children(&plan, commnode_exe, &listener.addr())?;
-    let commnode_pids: Vec<u32> = spawned.iter().map(std::process::Child::id).collect();
-
-    let reg = registry.clone();
-    let deliv = delivery.clone();
-    let root_ledger = ledger.clone();
-    let root_assembler = assembler.clone();
-    let root_join = std::thread::Builder::new()
-        .name("mrnet-fe-root".to_owned())
-        .spawn(move || {
-            let children = match accept_children(&listener, &view, &plan) {
-                Ok(c) => plan.order.iter().copied().zip(c).collect(),
-                Err(e) => {
-                    log_error!("fe", "child gather failed: {e}");
-                    return;
-                }
-            };
-            let front_end = FrontEnd::new(deliv, attach_tx, root_ledger, root_assembler);
-            let up = Upstream::FrontEnd(front_end);
-            let mut node = NodeLoop::new(0, reg, up, children, root_inbox);
-            match node.setup() {
-                Ok(endpoints) => {
-                    let _ = ready_tx.send(endpoints);
-                }
-                Err(e) => {
-                    log_error!("fe", "setup failed: {e}");
-                    return;
-                }
-            }
-            node.run();
-            for child in &mut spawned {
-                let _ = child.wait();
-            }
-        })
-        .map_err(|e| MrnetError::Instantiation(e.to_string()))?;
-
-    Ok(PendingNetwork {
-        ready_rx,
-        cmd_tx,
-        delivery,
-        registry,
-        ledger,
-        assembler,
-        joins: vec![root_join],
-        attach_points: Vec::new(),
-        fabric: LocalFabric::new(),
-        commnode_pids,
-        attach_rx: Some(attach_rx),
-        expected_backends,
-    })
+    pending.commnode_pids = spawned.iter().map(std::process::Child::id).collect();
+    let root = root.attached(listener, view);
+    let reap = move || {
+        for child in &mut spawned {
+            let _ = child.wait();
+        }
+    };
+    pending
+        .joins
+        .push(spawn_node("mrnet-fe-root".to_owned(), root, reap)?);
+    Ok(pending)
 }

@@ -37,6 +37,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Release};
 use std::sync::atomic::{AtomicU64, AtomicU8};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -63,6 +64,7 @@ const NEVER: u64 = u64::MAX;
 /// What a [`Slot`] runs.
 pub(crate) trait Turns: Send {
     /// Runs one turn. False once the node has stopped: no turn follows.
+    /// A turn that panics counts as one that returned false.
     fn turn(&mut self) -> bool;
 
     /// When the node's earliest timer is due, if it has one.
@@ -184,7 +186,10 @@ impl Slot {
                 if adopted {
                     self.metrics.loop_turns_adopted.inc();
                 }
-                let more = node.turn();
+                // A panicking turn stops its own node, as a turn that
+                // returns false does, and no other: the thread may be
+                // another node's owner running an adopted turn.
+                let more = panic::catch_unwind(AssertUnwindSafe(|| node.turn())).unwrap_or(false);
                 (more, node.wake_at())
             })
         };

@@ -9,14 +9,17 @@
 //! upstream as `AttachInfo` before the node blocks waiting for
 //! attachment, so rendezvous information reaches the front-end while
 //! instantiation is still in flight.
+//!
+//! [`accept_children`] is the one reader of the `Attach` handshake,
+//! in every launch mode.
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 
+use mrnet_obs::log_warn;
 use mrnet_packet::Rank;
-use mrnet_transport::{Listener, SharedConnection, TcpTransportListener};
+use mrnet_transport::{Listener, SharedConnection};
 
 use crate::error::{MrnetError, Result};
 use crate::proto::{decode_frame, Control, Frame};
@@ -80,68 +83,54 @@ pub fn spawn_internal_children(
     Ok(children)
 }
 
-/// Accepts all direct children on `listener`: every inbound connection
-/// introduces itself with `Attach { rank }`; internal children are
-/// immediately handed their configuration slice in a `Launch` message.
-/// Returns the connections in configuration order.
-pub fn accept_children(
-    listener: &TcpTransportListener,
-    view: &SubtreeView,
-    plan: &ChildPlan,
-) -> Result<Vec<SharedConnection>> {
-    let slot_of: HashMap<Rank, usize> = plan
-        .order
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, i))
-        .collect();
-    let internal: std::collections::HashSet<Rank> = plan.spawn.iter().copied().collect();
-    let mut conns: Vec<Option<SharedConnection>> = (0..plan.order.len()).map(|_| None).collect();
-    let mut remaining = plan.order.len();
+/// Accepts one child for each of `ranks` on `listener`, and returns
+/// their connections in the order of `ranks`. A child introduces itself
+/// with `Attach { rank }` as its first frame. A connection whose first
+/// frame is anything else (garbage, a data frame, another control
+/// message, a rank not in `ranks` or one already attached) is logged,
+/// dropped, and accepting goes on. A connection that sends nothing
+/// blocks the accepting.
+pub fn accept_children(listener: &dyn Listener, ranks: &[Rank]) -> Result<Vec<SharedConnection>> {
+    let mut conns: Vec<Option<SharedConnection>> = vec![None; ranks.len()];
+    let mut remaining = ranks.len();
     while remaining > 0 {
         let conn: SharedConnection = Arc::from(listener.accept().map_err(MrnetError::Transport)?);
-        let frame = conn.recv().map_err(MrnetError::Transport)?;
-        let rank = match decode_frame(frame)? {
-            Frame::Control(pkt) => match Control::from_packet(&pkt)? {
-                Control::Attach { rank } => rank,
-                other => {
-                    return Err(MrnetError::Protocol(format!(
-                        "expected Attach handshake, got {other:?}"
-                    )))
-                }
-            },
-            Frame::Data(_) | Frame::Traced(..) => {
-                return Err(MrnetError::Protocol(
-                    "data frame before Attach handshake".into(),
-                ))
+        let slot = read_attach(&conn).and_then(|rank| {
+            ranks
+                .iter()
+                .zip(&conns)
+                .position(|(&r, c)| r == rank && c.is_none())
+                .ok_or_else(|| MrnetError::Protocol(format!("rank {rank} is unknown or attached")))
+        });
+        match slot {
+            Ok(slot) => {
+                conns[slot] = Some(conn);
+                remaining -= 1;
             }
-        };
-        let &slot = slot_of
-            .get(&rank)
-            .ok_or_else(|| MrnetError::Instantiation(format!("unexpected rank {rank} attached")))?;
-        if conns[slot].is_some() {
-            return Err(MrnetError::Instantiation(format!(
-                "rank {rank} attached twice"
-            )));
+            Err(e) => log_warn!(
+                listener.addr(),
+                "dropped an attach from {}: {e}",
+                conn.peer()
+            ),
         }
-        if internal.contains(&rank) {
-            let slice = view.slice_for(rank)?;
-            conn.send(
-                Control::Launch {
-                    ranks: slice.ranks,
-                    parents: slice.parents,
-                }
-                .to_frame(),
-            )
-            .map_err(MrnetError::Transport)?;
-        }
-        conns[slot] = Some(conn);
-        remaining -= 1;
     }
-    Ok(conns
-        .into_iter()
-        .map(|c| c.expect("all slots filled"))
-        .collect())
+    Ok(conns.into_iter().flatten().collect())
+}
+
+/// The rank a newly accepted connection's `Attach` handshake names.
+fn read_attach(conn: &SharedConnection) -> Result<Rank> {
+    let frame = conn.recv().map_err(MrnetError::Transport)?;
+    match decode_frame(frame)? {
+        Frame::Control(pkt) => match Control::from_packet(&pkt)? {
+            Control::Attach { rank } => Ok(rank),
+            other => Err(MrnetError::Protocol(format!(
+                "expected Attach handshake, got {other:?}"
+            ))),
+        },
+        Frame::Data(_) | Frame::Traced(..) => Err(MrnetError::Protocol(
+            "data frame before Attach handshake".into(),
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -168,7 +157,7 @@ mod tests {
 
     #[test]
     fn accept_children_orders_and_launches() {
-        use mrnet_transport::{Connection, TcpConnection};
+        use mrnet_transport::{Connection, TcpConnection, TcpTransportListener};
         // A leaf node's plan: two back-end children attach over TCP in
         // reverse order; connections come back in configuration order.
         let topo = generator::flat(2, &mut HostPool::synthetic(8)).unwrap();
@@ -189,28 +178,44 @@ mod tests {
             }
             held
         });
-        let conns = accept_children(&listener, &view, &plan).unwrap();
+        let conns = accept_children(&listener, &plan.order).unwrap();
         assert_eq!(conns.len(), 2);
         let _held = attacher.join().unwrap();
     }
 
+    /// A connection naming a rank nobody awaits is closed, and the
+    /// awaited child that attaches after it is accepted.
     #[test]
     fn accept_rejects_unknown_rank() {
-        use mrnet_transport::{Connection, TcpConnection};
+        use mrnet_transport::{Connection, TcpConnection, TcpTransportListener};
         let topo = generator::flat(1, &mut HostPool::synthetic(8)).unwrap();
         let view = SubtreeSlice::of(&topo, topo.root()).view().unwrap();
         let listener = TcpTransportListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.addr();
         let plan = plan_children(&view, &addr);
+        let rank = plan.order[0];
         let t = std::thread::spawn(move || {
-            let c = TcpConnection::connect(&addr).unwrap();
-            c.send(Control::Attach { rank: 999 }.to_frame()).unwrap();
-            c
+            let stray = TcpConnection::connect(&addr).unwrap();
+            stray
+                .send(Control::Attach { rank: 999 }.to_frame())
+                .unwrap();
+            let child = TcpConnection::connect(&addr).unwrap();
+            child.send(Control::Attach { rank }.to_frame()).unwrap();
+            (stray, child)
         });
-        let err = accept_children(&listener, &view, &plan)
-            .err()
-            .expect("bad rank");
-        assert!(matches!(err, MrnetError::Instantiation(_)));
-        let _ = t.join();
+        let conns = accept_children(&listener, &plan.order).unwrap();
+        let (stray, child) = t.join().unwrap();
+        let timeout = std::time::Duration::from_secs(10);
+        assert!(
+            stray.recv_timeout(timeout).is_err(),
+            "stray connection closed"
+        );
+        assert_eq!(conns.len(), 1);
+        conns[0].send(Control::Shutdown.to_frame()).unwrap();
+        let frame = child.recv_timeout(timeout).unwrap().expect("a frame");
+        assert!(matches!(
+            decode_frame(frame).unwrap(),
+            Frame::Control(pkt) if Control::from_packet(&pkt).unwrap() == Control::Shutdown
+        ));
     }
 }

@@ -214,7 +214,7 @@ fn garbage_frame_to_node_severs_only_that_peer() {
         .transport(WireTransport::Tcp)
         .launch_internal()
         .unwrap();
-    let points = pending.attach_points().to_vec();
+    let points = pending.collect_attach_points(TIMEOUT).unwrap();
     assert_eq!(points.len(), 2);
     let good = points[0].clone();
     let good_be =
@@ -255,6 +255,54 @@ fn garbage_frame_to_node_severs_only_that_peer() {
     assert_eq!(agg.get(0).unwrap().as_i32(), Some(9));
     net.shutdown();
     drop(raw);
+}
+
+/// A rendezvous address is public, so anything may connect to it. Each
+/// connection that botches the `Attach` handshake (garbage, a rank
+/// nobody awaits, a second attach for a rank already taken) is dropped
+/// on its own, and the real back-ends attach around them.
+#[test]
+fn hostile_attach_handshakes_are_dropped() {
+    use mrnet::proto::Control;
+    use mrnet::{Backend, WireTransport};
+    use mrnet_transport::{Connection, TcpConnection};
+
+    let topo = generator::flat(2, &mut pool()).unwrap();
+    let pending = NetworkBuilder::new(topo)
+        .transport(WireTransport::Tcp)
+        .launch_internal()
+        .unwrap();
+    let points = pending.collect_attach_points(TIMEOUT).unwrap();
+    let (first, second) = (&points[0], &points[1]);
+    let garbage = TcpConnection::connect(&first.endpoint).unwrap();
+    garbage
+        .send(Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef]))
+        .unwrap();
+    let unknown = TcpConnection::connect(&first.endpoint).unwrap();
+    unknown
+        .send(Control::Attach { rank: 999 }.to_frame())
+        .unwrap();
+    let be1 = Backend::attach_tcp(&first.endpoint, first.rank).unwrap();
+    let twin = TcpConnection::connect(&first.endpoint).unwrap();
+    twin.send(Control::Attach { rank: first.rank }.to_frame())
+        .unwrap();
+    let be2 = Backend::attach_tcp(&second.endpoint, second.rank).unwrap();
+    let net = pending.wait(TIMEOUT).unwrap();
+
+    let comm = net.broadcast_communicator();
+    let sum = net.registry().id_of("d_sum").unwrap();
+    let stream = net.new_stream(&comm, sum, SyncMode::WaitForAll).unwrap();
+    stream.send(0, "%d", vec![Value::Int32(0)]).unwrap();
+    for be in [&be1, &be2] {
+        let (_, sid) = be.recv().unwrap();
+        be.send(sid, 0, "%d", vec![Value::Int32(1)]).unwrap();
+    }
+    let agg = stream.recv_timeout(TIMEOUT).unwrap();
+    assert_eq!(agg.get(0).unwrap().as_i32(), Some(2));
+    for stray in [&garbage, &unknown, &twin] {
+        assert!(stray.recv_timeout(TIMEOUT).is_err(), "stray closed");
+    }
+    net.shutdown();
 }
 
 /// A drained stream whose every end-point died reports the failure

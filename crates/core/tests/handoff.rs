@@ -6,7 +6,10 @@
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use mrnet::{launch_local, Backend, MrnetError, Rank, SyncMode, Value};
+use mrnet::{
+    launch_local, Backend, FilterRegistry, FnFilter, MrnetError, NetworkBuilder, Rank, SyncMode,
+    TopologyEvent, Value,
+};
 use mrnet_topology::{generator, HostPool};
 
 const TIMEOUT: Duration = Duration::from_secs(20);
@@ -129,6 +132,89 @@ fn shutdown_joins_every_node_thread_after_adopted_turns() {
     closer.join().unwrap();
     // Each back-end saw its interior's `Shutdown`, sent by that
     // interior's owner during its cleanup.
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
+/// A turn that panics stops its own node and no other, even on another
+/// node's thread. The root's turn makes an interior ready and, as a
+/// rule, runs the interior's turn, whose down filter panics there. The
+/// interior's subtree is reported failed, the other subtree keeps
+/// serving, and shutdown returns. The scenario runs on a thread of its
+/// own, so a node left running forever fails the test instead of
+/// hanging it.
+#[test]
+fn a_panicking_turn_stops_only_its_own_node() {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        panicking_turn_scenario();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(2 * TIMEOUT)
+        .expect("the scenario finished and the network shut down");
+}
+
+fn panicking_turn_scenario() {
+    let topo = generator::balanced(2, 2, &mut HostPool::synthetic(16)).unwrap();
+    let victim = topo.children(topo.root())[0];
+    let lost: Vec<Rank> = topo.children(victim).iter().map(|c| c.0 as Rank).collect();
+    let victim = victim.0 as Rank;
+    let registry = FilterRegistry::with_builtins();
+    registry
+        .register("panic_down", move || {
+            Box::new(FnFilter::new(
+                "panic_down",
+                None,
+                (),
+                move |_, inputs, ctx| {
+                    if ctx.local_rank == victim {
+                        panic!("down filter panics at rank {victim}");
+                    }
+                    Ok(inputs)
+                },
+            ))
+        })
+        .unwrap();
+    let dep = NetworkBuilder::new(topo)
+        .registry(registry)
+        .launch()
+        .unwrap();
+    let net = dep.network.clone();
+    let survivors: i32 = dep
+        .backends
+        .iter()
+        .filter(|be| !lost.contains(&be.rank()))
+        .map(|be| be.rank() as i32)
+        .sum();
+    let comm = net.broadcast_communicator();
+    let sum = net.registry().id_of("d_sum").unwrap();
+    let panicking = net.registry().id_of("panic_down").unwrap();
+    let doomed = net
+        .new_stream_full(&comm, sum, panicking, SyncMode::WaitForAll)
+        .unwrap();
+    doomed.send(0, "%d", vec![Value::Int32(0)]).unwrap();
+    let TopologyEvent::RankFailed { rank, mut subtree } = net.next_event_timeout(TIMEOUT).unwrap();
+    subtree.sort_unstable();
+    assert_eq!((rank, subtree), (victim, lost));
+
+    // The back-ends start serving only now: until then no back-end
+    // thread wakes the interior's owner, so the root's thread usually
+    // runs the interior's turns.
+    let handles: Vec<_> = dep
+        .backends
+        .into_iter()
+        .map(|be| {
+            let value = be.rank() as i32;
+            std::thread::spawn(move || serve(be, Some(value)))
+        })
+        .collect();
+    let stream = net.new_stream(&comm, sum, SyncMode::WaitForAll).unwrap();
+    stream.send(0, "%d", vec![Value::Int32(0)]).unwrap();
+    let wave = stream.recv_timeout(TIMEOUT).unwrap();
+    assert_eq!(wave.get(0).unwrap().as_i32(), Some(survivors));
+    net.shutdown();
     for h in handles {
         h.join().unwrap();
     }

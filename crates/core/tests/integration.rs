@@ -377,7 +377,7 @@ fn mode2_attach_instantiation() {
     let topo = generator::balanced(2, 2, &mut pool()).unwrap();
     let pending = NetworkBuilder::new(topo).launch_internal().unwrap();
     let fabric = pending.fabric().clone();
-    let points = pending.attach_points().to_vec();
+    let points = pending.collect_attach_points(TIMEOUT).unwrap();
     assert_eq!(points.len(), 4);
 
     let be_threads: Vec<_> = points
@@ -411,6 +411,44 @@ fn mode2_attach_instantiation() {
     for t in be_threads {
         t.join().unwrap();
     }
+    net.shutdown();
+}
+
+/// Mode 2 on Figure 4b's shape, where the root has both internal
+/// children, whose edges the launcher connects, and back-ends, which
+/// attach at the root's listener: the root merges the two in child
+/// order. Every node with back-end children has one endpoint, shared
+/// by its back-ends, which attach in reverse rank order.
+#[test]
+fn mode2_mixed_node_merges_child_order() {
+    let topo = generator::fig4_unbalanced(&mut pool()).unwrap();
+    let parents: std::collections::HashSet<_> =
+        topo.backends().iter().map(|&b| topo.parent(b)).collect();
+    let pending = NetworkBuilder::new(topo).launch_internal().unwrap();
+    let fabric = pending.fabric().clone();
+    let points = pending.collect_attach_points(TIMEOUT).unwrap();
+    let endpoints: std::collections::HashSet<_> = points.iter().map(|p| &p.endpoint).collect();
+    assert_eq!(endpoints.len(), parents.len());
+    let backends: Vec<Backend> = points
+        .iter()
+        .rev()
+        .map(|ap| Backend::attach(&fabric, &ap.endpoint, ap.rank).unwrap())
+        .collect();
+
+    let net = pending.wait(TIMEOUT).unwrap();
+    assert_eq!(net.num_backends(), points.len());
+    let comm = net.broadcast_communicator();
+    let sum = net.registry().id_of("d_sum").unwrap();
+    let stream = net.new_stream(&comm, sum, SyncMode::WaitForAll).unwrap();
+    stream.send(0, "%d", vec![Value::Int32(0)]).unwrap();
+    drive_backends(backends, |be| {
+        let (_, sid) = be.recv().unwrap();
+        let rank = i32::try_from(be.rank()).unwrap();
+        be.send(sid, 0, "%d", vec![Value::Int32(rank)]).unwrap();
+    });
+    let expected: i32 = points.iter().map(|p| p.rank as i32).sum();
+    let result = stream.recv_timeout(TIMEOUT).unwrap();
+    assert_eq!(result.get(0).unwrap().as_i32(), Some(expected));
     net.shutdown();
 }
 
@@ -656,7 +694,7 @@ fn tcp_mode2_attach() {
         .transport(WireTransport::Tcp)
         .launch_internal()
         .unwrap();
-    let points = pending.attach_points().to_vec();
+    let points = pending.collect_attach_points(TIMEOUT).unwrap();
     let threads: Vec<_> = points
         .into_iter()
         .map(|ap| {

@@ -91,7 +91,7 @@ fn mixed_node_unbalanced_topology() {
     let topology = generator::fig4_unbalanced(&mut HostPool::synthetic(64)).unwrap();
     let n = topology.num_backends();
     let pending = launch_processes(topology, &commnode_exe()).unwrap();
-    let events = pending.attach_events().expect("process mode");
+    let events = pending.attach_events();
 
     let backend_threads: Vec<_> = (0..n)
         .map(|_| {

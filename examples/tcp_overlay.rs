@@ -22,7 +22,9 @@ fn main() {
         .expect("internal tree");
 
     println!("internal tree up; published attach points:");
-    let points = pending.attach_points().to_vec();
+    let points = pending
+        .collect_attach_points(Duration::from_secs(30))
+        .expect("attach points");
     for ap in &points {
         println!("  back-end rank {} -> {}", ap.rank, ap.endpoint);
     }
