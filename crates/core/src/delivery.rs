@@ -148,7 +148,11 @@ impl Delivery {
             return Some(self.cv.wait(st, None));
         };
         let now = Instant::now();
-        let due = *deadline.get_or_insert(now + timeout);
+        // A deadline past what `Instant` can hold is no deadline.
+        let Some(due) = deadline.or_else(|| now.checked_add(timeout)) else {
+            return Some(self.cv.wait(st, None));
+        };
+        *deadline = Some(due);
         if now >= due {
             return None;
         }
@@ -456,6 +460,27 @@ mod tests {
             "woken by the timeout, not the push"
         );
         got
+    }
+
+    /// A timeout too long for `Instant` to add is no deadline: both
+    /// receives wait for a packet pushed later instead of panicking.
+    #[test]
+    fn receives_with_an_unrepresentable_timeout_wait_without_one() {
+        let d = Arc::new(Delivery::new());
+        let pusher = {
+            let d = d.clone();
+            std::thread::spawn(move || {
+                for sid in [1, 2] {
+                    std::thread::sleep(Duration::from_millis(50));
+                    d.push(pkt(sid, 7));
+                }
+            })
+        };
+        let on = d.recv_on(1, Some(Duration::MAX)).unwrap();
+        assert_eq!(on.stream_id(), 1);
+        let any = d.recv_any(Some(Duration::MAX)).unwrap();
+        assert_eq!(any.stream_id(), 2);
+        pusher.join().unwrap();
     }
 
     /// Four depositors push bursts and wait for the receiver's ack, so

@@ -1339,6 +1339,10 @@ impl Turns for NodeLoop {
         keep_going
     }
 
+    fn rank(&self) -> Rank {
+        self.rank
+    }
+
     fn wake_at(&self) -> Option<Instant> {
         Duration::try_from_secs_f64(self.next_deadline().max(0.0))
             .ok()

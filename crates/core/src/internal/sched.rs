@@ -44,7 +44,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-use mrnet_obs::{NodeMetrics, Unpoisoned};
+use mrnet_obs::{log_error, NodeMetrics, Unpoisoned};
+use mrnet_packet::Rank;
 use mrnet_transport::chan::{unbounded, Receiver, SendError, Sender};
 
 /// No turn is due and none is running.
@@ -66,6 +67,9 @@ pub(crate) trait Turns: Send {
     /// Runs one turn. False once the node has stopped: no turn follows.
     /// A turn that panics counts as one that returned false.
     fn turn(&mut self) -> bool;
+
+    /// The node's rank, which names it when a turn panics.
+    fn rank(&self) -> Rank;
 
     /// When the node's earliest timer is due, if it has one.
     fn wake_at(&self) -> Option<Instant>;
@@ -188,8 +192,20 @@ impl Slot {
                 }
                 // A panicking turn stops its own node, as a turn that
                 // returns false does, and no other: the thread may be
-                // another node's owner running an adopted turn.
-                let more = panic::catch_unwind(AssertUnwindSafe(|| node.turn())).unwrap_or(false);
+                // another node's owner running an adopted turn, so the
+                // log names the node.
+                let more = panic::catch_unwind(AssertUnwindSafe(|| node.turn())).unwrap_or_else(
+                    |payload| {
+                        self.metrics.loop_panics.inc();
+                        let what = payload
+                            .downcast_ref::<&str>()
+                            .copied()
+                            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                            .unwrap_or("a non-string payload");
+                        log_error!(node.rank(), "a turn panicked, stopping the node: {what}");
+                        false
+                    },
+                );
                 (more, node.wake_at())
             })
         };
@@ -398,6 +414,8 @@ mod tests {
         /// A producer node's cue to push its next burst.
         Go,
         Stop,
+        /// Makes the turn that takes it panic.
+        Panic,
     }
 
     /// Counts every message per producer, in order, and acks each burst
@@ -425,10 +443,14 @@ mod tests {
                         }
                     }
                     Msg::Stop => return false,
-                    Msg::Go => unreachable!("the target pushes no bursts"),
+                    Msg::Go | Msg::Panic => unreachable!("the target pushes no bursts"),
                 }
             }
             true
+        }
+
+        fn rank(&self) -> Rank {
+            0
         }
 
         fn wake_at(&self) -> Option<Instant> {
@@ -457,10 +479,14 @@ mod tests {
                 match msg {
                     Msg::Go => self.sent = burst(&self.target, self.id, self.sent),
                     Msg::Stop => return false,
-                    Msg::Data { .. } => unreachable!("producers take cues only"),
+                    Msg::Data { .. } | Msg::Panic => unreachable!("producers take cues only"),
                 }
             }
             true
+        }
+
+        fn rank(&self) -> Rank {
+            0
         }
 
         fn wake_at(&self) -> Option<Instant> {
@@ -606,9 +632,14 @@ mod tests {
                         return false;
                     }
                     Msg::Go => {}
+                    Msg::Panic => panic!("a turn of the node panicked"),
                 }
             }
             true
+        }
+
+        fn rank(&self) -> Rank {
+            0
         }
 
         fn wake_at(&self) -> Option<Instant> {
@@ -660,5 +691,21 @@ mod tests {
         a_tx.send(Msg::Stop).unwrap();
         a_owner.join().unwrap();
         assert_eq!(b_metrics.loop_turns.get(), turns);
+    }
+
+    /// A turn that panics stops its node: the owner runs its cleanup
+    /// once, `loop.panics` counts the panic, and no turn follows.
+    #[test]
+    fn a_panicking_turn_stops_the_node_and_is_counted() {
+        let (tx, rx) = inbox::<Msg>(Arc::default());
+        let node = Stoppable::new(rx, None);
+        let (stopped, stops) = (node.stopped.clone(), node.stops.clone());
+        let owner = own(tx.slot(), node);
+        tx.send(Msg::Panic).unwrap();
+        owner.join().unwrap();
+        assert_eq!(stops.load(Relaxed), 1);
+        assert!(!stopped.load(Relaxed), "the node stopped by panicking");
+        assert_eq!(tx.slot().metrics().loop_panics.get(), 1);
+        assert!(tx.send(Msg::Go).is_err(), "the node is gone");
     }
 }

@@ -20,7 +20,6 @@
 //!   sections, so merging two replies is pure concatenation.
 
 use mrnet_obs::{MetricsSection, NetworkSnapshot, TraceEnvelope};
-use mrnet_packet::bytes::Bytes;
 use mrnet_packet::{Packet, PacketBuilder, Value};
 
 use crate::error::{MrnetError, Result};
@@ -133,7 +132,7 @@ pub fn encode_trace_report(env: &TraceEnvelope) -> Packet {
 pub fn decode_trace_report(packet: &Packet) -> Result<TraceEnvelope> {
     let bad = || MrnetError::Protocol("malformed trace report".into());
     let bytes = packet.get(0).and_then(Value::as_bytes).ok_or_else(bad)?;
-    mrnet_packet::trace::decode_envelope(Bytes::copy_from_slice(bytes)).map_err(|_| bad())
+    mrnet_packet::trace::decode_envelope(bytes).map_err(|_| bad())
 }
 
 #[cfg(test)]

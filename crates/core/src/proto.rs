@@ -9,7 +9,7 @@
 
 use mrnet_filters::SyncMode;
 use mrnet_obs::tracectx::TraceEnvelope;
-use mrnet_packet::bytes::{Buf, BufMut, Bytes, BytesMut};
+use mrnet_packet::bytes::{Bytes, BytesMut, Reader};
 use mrnet_packet::{
     append_to_batch, decode_batch_lazy_with, decode_packet_from, encode_batch_into,
     encode_packet_into, encoded_batch_len,
@@ -165,46 +165,28 @@ pub fn encode_control_frame(packet: &Packet) -> Bytes {
 /// zero-copy slices of `bytes` until something touches them. A node
 /// that only relays the packets never pays the decode.
 pub fn decode_frame(bytes: Bytes) -> Result<Frame> {
-    if bytes.is_empty() {
+    let Some(&kind) = bytes.first() else {
         return Err(MrnetError::Protocol("empty frame".into()));
-    }
+    };
     let limits = DecodeLimits::from_env();
-    let kind = bytes[0];
     let body = bytes.slice(1..);
-    match kind {
-        FRAME_DATA => Ok(Frame::Data(decode_batch_lazy_with(body, &limits)?)),
-        FRAME_CONTROL => {
-            let mut body = body;
-            let packet = decode_packet_from(&mut body, &limits)?;
-            if body.has_remaining() {
-                return Err(MrnetError::Protocol(
-                    "trailing bytes after control packet".into(),
-                ));
-            }
-            Ok(Frame::Control(packet))
-        }
+    let mut r = Reader::new(&body);
+    let frame = match kind {
+        FRAME_DATA => return Ok(Frame::Data(decode_batch_lazy_with(body, &limits)?)),
+        FRAME_CONTROL => Frame::Control(decode_packet_from(&mut r, &limits)?),
         FRAME_DATA_TRACED => {
-            let mut body = body;
-            if body.remaining() < 4 {
-                return Err(MrnetError::Protocol("truncated traced frame".into()));
-            }
-            let batch_len = body.get_u32_le() as usize;
-            if body.remaining() < batch_len {
-                return Err(MrnetError::Protocol("truncated traced frame batch".into()));
-            }
-            let batch = body.slice(..batch_len);
-            body.advance(batch_len);
-            let packets = decode_batch_lazy_with(batch, &limits)?;
-            let envelopes = decode_trailer_from(&mut body)?;
-            if body.has_remaining() {
-                return Err(MrnetError::Protocol(
-                    "trailing bytes after trace trailer".into(),
-                ));
-            }
-            Ok(Frame::Traced(packets, envelopes))
+            let batch_len = u32::from_le_bytes(r.get("traced frame batch length")?) as usize;
+            let start = r.pos();
+            r.take(batch_len, "traced frame batch")?;
+            let packets = decode_batch_lazy_with(body.slice(start..r.pos()), &limits)?;
+            Frame::Traced(packets, decode_trailer_from(&mut r)?)
         }
-        other => Err(MrnetError::Protocol(format!("unknown frame kind {other}"))),
+        other => return Err(MrnetError::Protocol(format!("unknown frame kind {other}"))),
+    };
+    if !r.is_empty() {
+        return Err(MrnetError::Protocol("trailing bytes after frame".into()));
     }
+    Ok(frame)
 }
 
 /// A parsed control message.
@@ -538,6 +520,8 @@ impl Control {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrnet_sim::check::{check, vec_of};
+    use mrnet_sim::SplitMix64;
 
     fn round_trip(c: Control) {
         let frame = c.to_frame();
@@ -547,60 +531,69 @@ mod tests {
         }
     }
 
+    /// One or two messages of every `Control` variant.
+    fn every_control() -> Vec<Control> {
+        vec![
+            Control::NewStream {
+                stream_id: 12,
+                endpoints: vec![3, 4, 5],
+                up_filter: "f_max".into(),
+                down_filter: "null".into(),
+                sync: SyncMode::WaitForAll,
+            },
+            Control::NewStream {
+                stream_id: 1,
+                endpoints: vec![],
+                up_filter: "null".into(),
+                down_filter: "null".into(),
+                sync: SyncMode::TimeOut(0.5),
+            },
+            Control::DeleteStream { stream_id: 9 },
+            Control::SubtreeReport {
+                endpoints: vec![10, 11],
+            },
+            Control::Attach { rank: 77 },
+            Control::Shutdown,
+            Control::Launch {
+                ranks: vec![3, 4, 5],
+                parents: vec![u32::MAX, 0, 0],
+            },
+            Control::AttachInfo {
+                ranks: vec![9, 10],
+                endpoints: vec!["127.0.0.1:4000".into(), "127.0.0.1:4001".into()],
+            },
+            Control::RankFailed {
+                rank: 2,
+                subtree: vec![5, 6, 7],
+            },
+            Control::RankFailed {
+                rank: 6,
+                subtree: vec![6],
+            },
+            Control::ClockPing { t0_us: 1 << 50 },
+            Control::ClockPong {
+                t0_us: 100,
+                t1_us: 150,
+                t2_us: 160,
+            },
+            Control::ClockInfo {
+                ranks: vec![3, 4],
+                offsets_us: vec![-1500, 40],
+                rtts_us: vec![200, 35],
+            },
+            Control::ClockInfo {
+                ranks: vec![],
+                offsets_us: vec![],
+                rtts_us: vec![],
+            },
+        ]
+    }
+
     #[test]
     fn control_round_trips() {
-        round_trip(Control::NewStream {
-            stream_id: 12,
-            endpoints: vec![3, 4, 5],
-            up_filter: "f_max".into(),
-            down_filter: "null".into(),
-            sync: SyncMode::WaitForAll,
-        });
-        round_trip(Control::NewStream {
-            stream_id: 1,
-            endpoints: vec![],
-            up_filter: "null".into(),
-            down_filter: "null".into(),
-            sync: SyncMode::TimeOut(0.5),
-        });
-        round_trip(Control::DeleteStream { stream_id: 9 });
-        round_trip(Control::SubtreeReport {
-            endpoints: vec![10, 11],
-        });
-        round_trip(Control::Attach { rank: 77 });
-        round_trip(Control::Shutdown);
-        round_trip(Control::Launch {
-            ranks: vec![3, 4, 5],
-            parents: vec![u32::MAX, 0, 0],
-        });
-        round_trip(Control::AttachInfo {
-            ranks: vec![9, 10],
-            endpoints: vec!["127.0.0.1:4000".into(), "127.0.0.1:4001".into()],
-        });
-        round_trip(Control::RankFailed {
-            rank: 2,
-            subtree: vec![5, 6, 7],
-        });
-        round_trip(Control::RankFailed {
-            rank: 6,
-            subtree: vec![6],
-        });
-        round_trip(Control::ClockPing { t0_us: 1 << 50 });
-        round_trip(Control::ClockPong {
-            t0_us: 100,
-            t1_us: 150,
-            t2_us: 160,
-        });
-        round_trip(Control::ClockInfo {
-            ranks: vec![3, 4],
-            offsets_us: vec![-1500, 40],
-            rtts_us: vec![200, 35],
-        });
-        round_trip(Control::ClockInfo {
-            ranks: vec![],
-            offsets_us: vec![],
-            rtts_us: vec![],
-        });
+        for c in every_control() {
+            round_trip(c);
+        }
     }
 
     #[test]
@@ -769,6 +762,79 @@ mod tests {
         let mut long = BytesMut::from(&frame[..]);
         long.put_u8(0);
         assert!(decode_frame(long.freeze()).is_err());
+    }
+
+    /// A valid frame of any kind (every `Control` variant, a data frame,
+    /// a traced frame), then one to three hostile edits: a bit flip, a
+    /// truncation, or four bytes overwritten.
+    fn hostile_frame(rng: &mut SplitMix64) -> Vec<u8> {
+        let controls = every_control();
+        let packets = vec_of(rng, 1..4, |rng| {
+            PacketBuilder::new(rng.gen_range(1..4u32), rng.next_u64() as i32)
+                .push(rng.next_u64() as u32)
+                .push(vec_of(rng, 0..5, |r| r.next_u64()))
+                .push(if rng.gen_range(0..2u32) == 0 {
+                    "ab"
+                } else {
+                    ""
+                })
+                .build()
+        });
+        let env = TraceEnvelope {
+            trace_id: rng.next_u64(),
+            stream: 1,
+            hops: vec_of(rng, 0..3, |r| mrnet_obs::tracectx::HopRecord {
+                rank: r.next_u64() as u32,
+                recv_us: r.next_u64(),
+                send_us: r.next_u64(),
+            }),
+        };
+        let mut frame = match rng.gen_range(0..controls.len() + 2) {
+            0 => encode_data_frame(&packets),
+            1 => encode_traced_data_frame(&packets, &[env]),
+            i => controls[i - 2].to_frame(),
+        }
+        .to_vec();
+        for _ in 0..rng.gen_range(1..4u32) {
+            match rng.gen_range(0..3u32) {
+                0 if !frame.is_empty() => {
+                    let at = rng.gen_range(0..frame.len());
+                    frame[at] ^= 1 << rng.gen_range(0..8u32);
+                }
+                1 => frame.truncate(rng.gen_range(0..frame.len() + 1)),
+                _ if frame.len() >= 4 => {
+                    let at = rng.gen_range(0..frame.len() - 3);
+                    let word = match rng.gen_range(0..3u32) {
+                        0 => 0,
+                        1 => u32::MAX,
+                        _ => rng.next_u64() as u32,
+                    };
+                    frame[at..at + 4].copy_from_slice(&word.to_le_bytes());
+                }
+                _ => {}
+            }
+        }
+        frame
+    }
+
+    /// No hostile frame panics the decoder, the control-message parser
+    /// or the materialization of a data packet.
+    #[test]
+    fn hostile_frames_never_panic() {
+        check(
+            0x5EED_F4A3,
+            20_000,
+            hostile_frame,
+            |frame| match decode_frame(Bytes::copy_from_slice(frame)) {
+                Ok(Frame::Control(p)) => drop(Control::from_packet(&p)),
+                Ok(Frame::Data(packets) | Frame::Traced(packets, _)) => {
+                    for p in &packets {
+                        assert_eq!(p.values().len(), p.arity());
+                    }
+                }
+                Err(_) => {}
+            },
+        );
     }
 
     #[test]

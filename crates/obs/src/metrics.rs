@@ -404,6 +404,8 @@ metrics! {
             "Turns of the node loop: one inbox drain, the due timers and one flush each.";
         loop_turns_adopted: Counter, "loop.turns_adopted",
             "Turns run by another node's thread whose own turn made this node ready.";
+        loop_panics: Counter, "loop.panics",
+            "Turns that panicked; a panicking turn stops its node, as one that returns false does.";
         loop_owner_wakes: Counter, "loop.owner_wakes",
             "Times a thread that runs no turns made the node ready and woke its owner.";
     }

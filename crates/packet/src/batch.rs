@@ -10,7 +10,7 @@
 //! when the batch reaches [`MAX_BATCH_PACKETS`] or [`MAX_BATCH_BYTES`];
 //! [`encode_batch`]/[`decode_batch`] are the wire form.
 
-use crate::bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::bytes::{Bytes, BytesMut, Reader};
 use crate::codec::{decode_packet_from, encode_packet_into, validate_packet_at, DecodeLimits};
 use crate::error::{PacketError, Result};
 use crate::packet::Packet;
@@ -128,29 +128,11 @@ pub fn decode_batch_lazy(bytes: Bytes) -> Result<Vec<Packet>> {
 /// [`decode_batch_lazy`] with explicit decode limits.
 pub fn decode_batch_lazy_with(bytes: Bytes, limits: &DecodeLimits) -> Result<Vec<Packet>> {
     let data: &[u8] = &bytes;
-    if data.len() < 4 {
-        return Err(PacketError::MalformedBatch("missing count"));
-    }
-    let count = u32::from_le_bytes(data[..4].try_into().expect("4 bytes")) as usize;
-    if count as u64 > limits.max_elems {
-        return Err(PacketError::MalformedBatch("count exceeds limit"));
-    }
-    let mut packets = Vec::with_capacity(count.min(4096));
-    let mut pos = 4usize;
-    for _ in 0..count {
-        let (stream_id, tag, src, end) = validate_packet_at(data, pos, limits)?;
-        packets.push(Packet::from_validated_wire(
-            stream_id,
-            tag,
-            src,
-            bytes.slice(pos..end),
-        ));
-        pos = end;
-    }
-    if pos != data.len() {
-        return Err(PacketError::MalformedBatch("trailing bytes after batch"));
-    }
-    Ok(packets)
+    walk_batch(data, limits, |start| {
+        let (stream_id, tag, src, end) = validate_packet_at(data, start, limits)?;
+        let wire = bytes.slice(start..end);
+        Ok((Packet::from_validated_wire(stream_id, tag, src, wire), end))
+    })
 }
 
 /// Decodes a packet buffer produced by [`encode_batch`].
@@ -160,19 +142,36 @@ pub fn decode_batch(bytes: Bytes) -> Result<Vec<Packet>> {
 
 /// Decodes a packet buffer with explicit decode limits.
 pub fn decode_batch_with(bytes: Bytes, limits: &DecodeLimits) -> Result<Vec<Packet>> {
-    let mut buf = bytes;
-    if buf.remaining() < 4 {
-        return Err(PacketError::MalformedBatch("missing count"));
-    }
-    let count = buf.get_u32_le() as usize;
-    if count > limits.max_elems as usize {
+    let data: &[u8] = &bytes;
+    walk_batch(data, limits, |start| {
+        let mut r = Reader::new(&data[start..]);
+        Ok((decode_packet_from(&mut r, limits)?, start + r.pos()))
+    })
+}
+
+/// Reads a packet buffer's count, then each packet with `packet`, which
+/// takes the packet's offset in `data` and returns the packet and the
+/// offset one past it; refuses a buffer with bytes left over.
+fn walk_batch(
+    data: &[u8],
+    limits: &DecodeLimits,
+    mut packet: impl FnMut(usize) -> Result<(Packet, usize)>,
+) -> Result<Vec<Packet>> {
+    let count = Reader::new(data)
+        .get("batch count")
+        .map_err(|_| PacketError::MalformedBatch("missing count"))?;
+    let count = u32::from_le_bytes(count) as usize;
+    if count as u64 > limits.max_elems {
         return Err(PacketError::MalformedBatch("count exceeds limit"));
     }
     let mut packets = Vec::with_capacity(count.min(4096));
+    let mut pos = 4;
     for _ in 0..count {
-        packets.push(decode_packet_from(&mut buf, limits)?);
+        let (p, end) = packet(pos)?;
+        packets.push(p);
+        pos = end;
     }
-    if buf.has_remaining() {
+    if pos != data.len() {
         return Err(PacketError::MalformedBatch("trailing bytes after batch"));
     }
     Ok(packets)

@@ -1,12 +1,14 @@
 //! Byte buffers for the wire path: [`Bytes`], an immutable, cheaply
 //! cloned view into shared storage (an `Arc<[u8]>` plus a `u32` range,
 //! so slicing a received frame into packets copies nothing, and a view
-//! is 24 bytes); [`BytesMut`],
-//! the growable buffer an encoder writes; and the [`Buf`]/[`BufMut`]
-//! cursor traits with little-endian accessors.
+//! is 24 bytes); [`BytesMut`], the growable buffer an encoder writes
+//! with little-endian `put_*` methods; and [`Reader`], the one checked
+//! cursor every wire decoder reads through.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
+
+use crate::error::{PacketError, Result};
 
 /// The largest buffer a [`Bytes`] can hold: its range is stored as
 /// `u32` offsets. Wire frames are capped far below this (256 MiB).
@@ -169,6 +171,47 @@ impl BytesMut {
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.inner)
     }
+
+    /// Appends a slice.
+    pub fn put_slice(&mut self, src: &[u8]) {
+        self.inner.extend_from_slice(src);
+    }
+}
+
+/// The encoders' writers: one per wire type, little-endian.
+#[allow(missing_docs)]
+impl BytesMut {
+    pub fn put_u8(&mut self, v: u8) {
+        self.inner.push(v);
+    }
+
+    pub fn put_u16_le(&mut self, v: u16) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    pub fn put_u32_le(&mut self, v: u32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    pub fn put_i32_le(&mut self, v: i32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    pub fn put_u64_le(&mut self, v: u64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    pub fn put_i64_le(&mut self, v: i64) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    pub fn put_f32_le(&mut self, v: f32) {
+        self.put_slice(&v.to_le_bytes());
+    }
+
+    pub fn put_f64_le(&mut self, v: f64) {
+        self.put_slice(&v.to_le_bytes());
+    }
 }
 
 impl Deref for BytesMut {
@@ -190,140 +233,52 @@ impl From<&[u8]> for BytesMut {
     }
 }
 
-/// Read access to a byte cursor.
-#[allow(missing_docs)]
-pub trait Buf {
-    /// Bytes left to consume.
-    fn remaining(&self) -> usize;
-    /// The current contiguous chunk.
-    fn chunk(&self) -> &[u8];
-    /// Advances the cursor by `cnt` bytes.
-    fn advance(&mut self, cnt: usize);
-
-    /// Whether any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Copies `dst.len()` bytes out, advancing the cursor.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        let mut off = 0;
-        while off < dst.len() {
-            let chunk = self.chunk();
-            let n = chunk.len().min(dst.len() - off);
-            dst[off..off + n].copy_from_slice(&chunk[..n]);
-            self.advance(n);
-            off += n;
-        }
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    fn get_i32_le(&mut self) -> i32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        i32::from_le_bytes(b)
-    }
-
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    fn get_i64_le(&mut self) -> i64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        i64::from_le_bytes(b)
-    }
-
-    fn get_f32_le(&mut self) -> f32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        f32::from_le_bytes(b)
-    }
-
-    fn get_f64_le(&mut self) -> f64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        f64::from_le_bytes(b)
-    }
+/// A checked little-endian reader over a wire buffer. Every decoder
+/// reads through one: a read past the end returns
+/// [`PacketError::Truncated`] naming what was being read, and never
+/// panics.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
 }
 
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
+impl<'a> Reader<'a> {
+    /// A reader at the start of `data`.
+    #[inline]
+    pub fn new(data: &'a [u8]) -> Reader<'a> {
+        Reader { data, pos: 0 }
     }
 
-    fn chunk(&self) -> &[u8] {
-        self
+    /// Bytes read so far: the offset of the next read in `data`.
+    #[inline]
+    pub fn pos(&self) -> usize {
+        self.pos
     }
 
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "advance past end");
-        self.start += cnt as u32;
-    }
-}
-
-/// Write access to a growable byte buffer.
-#[allow(missing_docs)]
-pub trait BufMut {
-    /// Appends a slice.
-    fn put_slice(&mut self, src: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
+    /// Whether every byte has been read.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.pos == self.data.len()
     }
 
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
+    /// Reads the next `n` bytes; `context` names them in the error if
+    /// fewer remain. This and [`Reader::get`] are always inlined: the
+    /// packet walker calls them for every value of every packet.
+    #[inline(always)]
+    pub fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
+        let head = self
+            .data
+            .get(self.pos..self.pos + n)
+            .ok_or(PacketError::Truncated { context })?;
+        self.pos += n;
+        Ok(head)
     }
 
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_i32_le(&mut self, v: i32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_f32_le(&mut self, v: f32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
+    /// Reads the next `N` bytes as an array, for `from_le_bytes`.
+    #[inline(always)]
+    pub fn get<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N]> {
+        Ok(self.take(N, context)?.try_into().expect("took N bytes"))
     }
 }
 
@@ -339,13 +294,26 @@ mod tests {
     #[test]
     fn slices_share_storage_and_advance() {
         let b = Bytes::from(vec![1, 2, 3, 4, 5]);
-        let mut s = b.slice(1..4);
+        let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
         assert_eq!(s.as_ptr(), b[1..].as_ptr());
-        s.advance(2);
+        let s = s.slice(2..);
         assert_eq!(&s[..], &[4]);
+        assert_eq!(s.as_ptr(), b[3..].as_ptr());
         assert_eq!(b.slice(..=1).len(), 2);
         assert!(b.slice(5..).is_empty());
+    }
+
+    #[test]
+    fn reader_refuses_a_short_read_without_moving() {
+        let mut r = Reader::new(&[1, 0, 2, 3, 4]);
+        assert_eq!(u16::from_le_bytes(r.get("u16").unwrap()), 1);
+        assert_eq!(r.take(2, "pair").unwrap(), &[2, 3]);
+        assert_eq!(r.pos(), 4);
+        let err = r.get::<2>("tail").unwrap_err();
+        assert_eq!(err, PacketError::Truncated { context: "tail" });
+        assert_eq!(r.take(1, "last").unwrap(), &[4]);
+        assert!(r.is_empty());
     }
 
     #[test]

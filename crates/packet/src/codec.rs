@@ -10,10 +10,16 @@
 //! All multi-byte quantities are little-endian. Length prefixes are
 //! validated against [`DecodeLimits`] so a corrupt stream cannot force
 //! enormous allocations.
+//!
+//! One function walks the value grammar and one walks a packet, both
+//! over a [`Reader`], in two modes: skip mode checks a packet's whole
+//! structure and builds nothing (the ingress validation pass); build
+//! mode also makes its values (eager decode, and materializing a lazy
+//! packet). So what validation accepts, materialization decodes.
 
 use std::sync::OnceLock;
 
-use crate::bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::bytes::{Bytes, BytesMut, Reader};
 use crate::error::{PacketError, Result};
 use crate::format::FormatString;
 use crate::packet::{Decoded, Packet};
@@ -88,34 +94,9 @@ impl DecodeLimits {
     }
 }
 
-fn need(buf: &impl Buf, n: usize, context: &'static str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(PacketError::Truncated { context })
-    } else {
-        Ok(())
-    }
-}
-
-fn get_len(buf: &mut impl Buf, limit: u64, context: &'static str) -> Result<usize> {
-    need(buf, 4, context)?;
-    let len = buf.get_u32_le() as u64;
-    if len > limit {
-        return Err(PacketError::LengthOverflow { len, limit });
-    }
-    Ok(len as usize)
-}
-
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut impl Buf, limits: &DecodeLimits) -> Result<String> {
-    let len = get_len(buf, limits.max_bytes, "string length")?;
-    need(buf, len, "string body")?;
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| PacketError::InvalidUtf8)
 }
 
 /// Encodes one value (tag byte + payload) into `buf`.
@@ -179,204 +160,152 @@ fn encode_value(buf: &mut BytesMut, value: &Value) {
     }
 }
 
-/// Decodes one tagged value from `buf`.
-fn decode_value(buf: &mut impl Buf, limits: &DecodeLimits) -> Result<Value> {
-    need(buf, 1, "value tag")?;
-    let code = TypeCode::from_tag(buf.get_u8())?;
-    Ok(match code {
-        TypeCode::Char => {
-            need(buf, 1, "char")?;
-            Value::Char(buf.get_u8())
-        }
-        TypeCode::Int32 => {
-            need(buf, 4, "i32")?;
-            Value::Int32(buf.get_i32_le())
-        }
-        TypeCode::UInt32 => {
-            need(buf, 4, "u32")?;
-            Value::UInt32(buf.get_u32_le())
-        }
-        TypeCode::Int64 => {
-            need(buf, 8, "i64")?;
-            Value::Int64(buf.get_i64_le())
-        }
+// The walkers' helpers are always inlined, so that the skip walk keeps
+// its reader in registers and spends a bounds check per value and no
+// call: `validate_packet_at` runs on every packet at every hop.
+
+/// Reads a `u32` length prefix and checks it against `limit`.
+#[inline(always)]
+fn len_prefix(r: &mut Reader<'_>, limit: u64, context: &'static str) -> Result<usize> {
+    let len = u64::from(u32::from_le_bytes(r.get(context)?));
+    if len > limit {
+        return Err(PacketError::LengthOverflow { len, limit });
+    }
+    Ok(len as usize)
+}
+
+/// Reads a length-prefixed string and checks its UTF-8.
+#[inline(always)]
+fn str_body<'a>(r: &mut Reader<'a>, limits: &DecodeLimits) -> Result<&'a str> {
+    let len = len_prefix(r, limits.max_bytes, "string length")?;
+    std::str::from_utf8(r.take(len, "string body")?).map_err(|_| PacketError::InvalidUtf8)
+}
+
+/// Reads one fixed-width scalar; build mode makes it with `make`.
+#[inline(always)]
+fn scalar<const BUILD: bool, const N: usize>(
+    r: &mut Reader<'_>,
+    context: &'static str,
+    make: impl FnOnce([u8; N]) -> Value,
+) -> Result<Option<Value>> {
+    let b = r.get(context)?;
+    Ok(BUILD.then(|| make(b)))
+}
+
+/// Reads a length-prefixed array of `N`-byte elements; build mode
+/// makes it with `make` from each element's bytes read with `elem`.
+#[inline(always)]
+fn array<const BUILD: bool, const N: usize, T>(
+    r: &mut Reader<'_>,
+    limits: &DecodeLimits,
+    context: &'static str,
+    elem: fn([u8; N]) -> T,
+    make: fn(Vec<T>) -> Value,
+) -> Result<Option<Value>> {
+    let len = len_prefix(r, limits.max_elems, context)?;
+    let body = r.take(len * N, context)?;
+    Ok(BUILD.then(|| {
+        make(
+            body.chunks_exact(N)
+                .map(|b| elem(b.try_into().expect("N bytes")))
+                .collect(),
+        )
+    }))
+}
+
+/// Walks one tagged value: checks its type tag, every length prefix
+/// against `limits` and the UTF-8 of its strings, and leaves `r` past
+/// it. Build mode pushes the value onto `values`; skip mode builds
+/// nothing. A short read names the specifier it was reading, as `%d`.
+fn walk_value<const BUILD: bool>(
+    r: &mut Reader<'_>,
+    limits: &DecodeLimits,
+    values: &mut Vec<Value>,
+) -> Result<()> {
+    let [tag] = r.get("value tag")?;
+    let value = match TypeCode::from_tag(tag)? {
+        TypeCode::Char => scalar::<BUILD, _>(r, "%c", |[b]| Value::Char(b))?,
+        TypeCode::Int32 => scalar::<BUILD, _>(r, "%d", |b| Value::Int32(i32::from_le_bytes(b)))?,
+        TypeCode::UInt32 => scalar::<BUILD, _>(r, "%ud", |b| Value::UInt32(u32::from_le_bytes(b)))?,
+        TypeCode::Int64 => scalar::<BUILD, _>(r, "%ld", |b| Value::Int64(i64::from_le_bytes(b)))?,
         TypeCode::UInt64 => {
-            need(buf, 8, "u64")?;
-            Value::UInt64(buf.get_u64_le())
+            scalar::<BUILD, _>(r, "%uld", |b| Value::UInt64(u64::from_le_bytes(b)))?
         }
-        TypeCode::Float => {
-            need(buf, 4, "f32")?;
-            Value::Float(buf.get_f32_le())
+        TypeCode::Float => scalar::<BUILD, _>(r, "%f", |b| Value::Float(f32::from_le_bytes(b)))?,
+        TypeCode::Double => scalar::<BUILD, _>(r, "%lf", |b| Value::Double(f64::from_le_bytes(b)))?,
+        TypeCode::Str => {
+            let s = str_body(r, limits)?;
+            BUILD.then(|| Value::Str(s.to_owned()))
         }
-        TypeCode::Double => {
-            need(buf, 8, "f64")?;
-            Value::Double(buf.get_f64_le())
-        }
-        TypeCode::Str => Value::Str(get_str(buf, limits)?),
         TypeCode::CharArray => {
-            let len = get_len(buf, limits.max_bytes, "byte array length")?;
-            need(buf, len, "byte array body")?;
-            let mut v = vec![0u8; len];
-            buf.copy_to_slice(&mut v);
-            Value::CharArray(v)
+            let len = len_prefix(r, limits.max_bytes, "%ac")?;
+            let body = r.take(len, "%ac")?;
+            BUILD.then(|| Value::CharArray(body.to_vec()))
         }
         TypeCode::Int32Array => {
-            let len = get_len(buf, limits.max_elems, "i32 array length")?;
-            need(buf, len * 4, "i32 array body")?;
-            Value::Int32Array((0..len).map(|_| buf.get_i32_le()).collect())
+            array::<BUILD, _, _>(r, limits, "%ad", i32::from_le_bytes, Value::Int32Array)?
         }
         TypeCode::UInt32Array => {
-            let len = get_len(buf, limits.max_elems, "u32 array length")?;
-            need(buf, len * 4, "u32 array body")?;
-            Value::UInt32Array((0..len).map(|_| buf.get_u32_le()).collect())
+            array::<BUILD, _, _>(r, limits, "%aud", u32::from_le_bytes, Value::UInt32Array)?
         }
         TypeCode::Int64Array => {
-            let len = get_len(buf, limits.max_elems, "i64 array length")?;
-            need(buf, len * 8, "i64 array body")?;
-            Value::Int64Array((0..len).map(|_| buf.get_i64_le()).collect())
+            array::<BUILD, _, _>(r, limits, "%ald", i64::from_le_bytes, Value::Int64Array)?
         }
         TypeCode::UInt64Array => {
-            let len = get_len(buf, limits.max_elems, "u64 array length")?;
-            need(buf, len * 8, "u64 array body")?;
-            Value::UInt64Array((0..len).map(|_| buf.get_u64_le()).collect())
+            array::<BUILD, _, _>(r, limits, "%auld", u64::from_le_bytes, Value::UInt64Array)?
         }
         TypeCode::FloatArray => {
-            let len = get_len(buf, limits.max_elems, "f32 array length")?;
-            need(buf, len * 4, "f32 array body")?;
-            Value::FloatArray((0..len).map(|_| buf.get_f32_le()).collect())
+            array::<BUILD, _, _>(r, limits, "%af", f32::from_le_bytes, Value::FloatArray)?
         }
         TypeCode::DoubleArray => {
-            let len = get_len(buf, limits.max_elems, "f64 array length")?;
-            need(buf, len * 8, "f64 array body")?;
-            Value::DoubleArray((0..len).map(|_| buf.get_f64_le()).collect())
+            array::<BUILD, _, _>(r, limits, "%alf", f64::from_le_bytes, Value::DoubleArray)?
         }
         TypeCode::StrArray => {
-            let len = get_len(buf, limits.max_elems, "string array length")?;
-            let mut v = Vec::with_capacity(len.min(1024));
+            let len = len_prefix(r, limits.max_elems, "%as")?;
+            let mut v = Vec::with_capacity(if BUILD { len.min(1024) } else { 0 });
             for _ in 0..len {
-                v.push(get_str(buf, limits)?);
+                let s = str_body(r, limits)?;
+                if BUILD {
+                    v.push(s.to_owned());
+                }
             }
-            Value::StrArray(v)
+            BUILD.then_some(Value::StrArray(v))
         }
-    })
+    };
+    if let Some(value) = value {
+        values.push(value);
+    }
+    Ok(())
 }
 
-/// A cursor over a contiguous wire buffer, used by the validation
-/// pass to walk a packet's structure without allocating values.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
+/// Walks one packet: its header, then its `arity` values with
+/// [`walk_value`]. Returns the header fields and, in build mode, the
+/// decoded payload; skip mode allocates nothing.
+fn walk_packet<const BUILD: bool>(
+    r: &mut Reader<'_>,
+    limits: &DecodeLimits,
+) -> Result<(u32, i32, u32, Option<Decoded>)> {
+    let stream_id = u32::from_le_bytes(r.get("packet header")?);
+    let tag = i32::from_le_bytes(r.get("packet header")?);
+    let src = u32::from_le_bytes(r.get("packet header")?);
+    let arity = usize::from(u16::from_le_bytes(r.get("packet header")?));
+    let mut values = Vec::with_capacity(if BUILD { arity } else { 0 });
+    for _ in 0..arity {
+        walk_value::<BUILD>(r, limits, &mut values)?;
+    }
+    let decoded = BUILD.then(|| Decoded {
+        fmt: FormatString::from_codes(values.iter().map(Value::type_code).collect::<Vec<_>>()),
+        values,
+    });
+    Ok((stream_id, tag, src, decoded))
 }
 
-impl<'a> Cursor<'a> {
-    fn need(&self, n: usize, context: &'static str) -> Result<()> {
-        if self.data.len() - self.pos < n {
-            Err(PacketError::Truncated { context })
-        } else {
-            Ok(())
-        }
-    }
-
-    fn skip(&mut self, n: usize, context: &'static str) -> Result<()> {
-        self.need(n, context)?;
-        self.pos += n;
-        Ok(())
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
-        self.need(n, context)?;
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn get_u8(&mut self, context: &'static str) -> Result<u8> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn get_u16_le(&mut self, context: &'static str) -> Result<u16> {
-        let b = self.take(2, context)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn get_u32_le(&mut self, context: &'static str) -> Result<u32> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn get_len(&mut self, limit: u64, context: &'static str) -> Result<usize> {
-        let len = self.get_u32_le(context)? as u64;
-        if len > limit {
-            return Err(PacketError::LengthOverflow { len, limit });
-        }
-        Ok(len as usize)
-    }
-
-    fn check_str(&mut self, limits: &DecodeLimits) -> Result<()> {
-        let len = self.get_len(limits.max_bytes, "string length")?;
-        let body = self.take(len, "string body")?;
-        std::str::from_utf8(body).map_err(|_| PacketError::InvalidUtf8)?;
-        Ok(())
-    }
-}
-
-/// Validates one tagged value's wire structure (type tag, length
-/// prefixes against `limits`, UTF-8 of strings) without materializing
-/// it, advancing the cursor past it.
-fn skip_value(c: &mut Cursor<'_>, limits: &DecodeLimits) -> Result<()> {
-    let code = TypeCode::from_tag(c.get_u8("value tag")?)?;
-    match code {
-        TypeCode::Char => c.skip(1, "char"),
-        TypeCode::Int32 => c.skip(4, "i32"),
-        TypeCode::UInt32 => c.skip(4, "u32"),
-        TypeCode::Int64 => c.skip(8, "i64"),
-        TypeCode::UInt64 => c.skip(8, "u64"),
-        TypeCode::Float => c.skip(4, "f32"),
-        TypeCode::Double => c.skip(8, "f64"),
-        TypeCode::Str => c.check_str(limits),
-        TypeCode::CharArray => {
-            let len = c.get_len(limits.max_bytes, "byte array length")?;
-            c.skip(len, "byte array body")
-        }
-        TypeCode::Int32Array => {
-            let len = c.get_len(limits.max_elems, "i32 array length")?;
-            c.skip(len * 4, "i32 array body")
-        }
-        TypeCode::UInt32Array => {
-            let len = c.get_len(limits.max_elems, "u32 array length")?;
-            c.skip(len * 4, "u32 array body")
-        }
-        TypeCode::Int64Array => {
-            let len = c.get_len(limits.max_elems, "i64 array length")?;
-            c.skip(len * 8, "i64 array body")
-        }
-        TypeCode::UInt64Array => {
-            let len = c.get_len(limits.max_elems, "u64 array length")?;
-            c.skip(len * 8, "u64 array body")
-        }
-        TypeCode::FloatArray => {
-            let len = c.get_len(limits.max_elems, "f32 array length")?;
-            c.skip(len * 4, "f32 array body")
-        }
-        TypeCode::DoubleArray => {
-            let len = c.get_len(limits.max_elems, "f64 array length")?;
-            c.skip(len * 8, "f64 array body")
-        }
-        TypeCode::StrArray => {
-            let len = c.get_len(limits.max_elems, "string array length")?;
-            for _ in 0..len {
-                c.check_str(limits)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Validates the structure of one packet starting at `start` in
-/// `data`: header, every value's type tag, every length prefix
-/// (against `limits`), and string UTF-8 — without allocating a single
-/// value. Returns the header fields and the offset one past the
-/// packet's last byte.
+/// Validates the structure of the packet at offset `start` of `data`:
+/// header, every value's type tag, every length prefix (against
+/// `limits`), and string UTF-8 — without allocating a single value.
+/// Returns the header fields and the offset one past the packet's last
+/// byte. (Offsets in and out, not a `&mut Reader`, keep the batch
+/// loop's position in a register from packet to packet.)
 ///
 /// A wire region that passes this check is safe to hand to
 /// [`decode_payload_validated`], which therefore cannot fail.
@@ -385,38 +314,24 @@ pub(crate) fn validate_packet_at(
     start: usize,
     limits: &DecodeLimits,
 ) -> Result<(u32, i32, u32, usize)> {
-    let mut c = Cursor { data, pos: start };
-    c.need(PACKET_HEADER_LEN, "packet header")?;
-    let stream_id = c.get_u32_le("packet header")?;
-    let tag = c.get_u32_le("packet header")? as i32;
-    let src = c.get_u32_le("packet header")?;
-    let arity = c.get_u16_le("packet header")? as usize;
-    for _ in 0..arity {
-        skip_value(&mut c, limits)?;
-    }
-    Ok((stream_id, tag, src, c.pos))
+    let mut r = Reader::new(data);
+    r.take(start, "packet offset")?;
+    let (stream_id, tag, src, _) = walk_packet::<false>(&mut r, limits)?;
+    Ok((stream_id, tag, src, r.pos()))
 }
 
 /// Materializes the typed payload of a pre-validated wire packet.
 /// The `FormatString` is derived from the decoded value tags exactly
 /// once, here, and cached in the packet with the values.
 pub(crate) fn decode_payload_validated(wire: &Bytes) -> Decoded {
-    let mut buf = wire.slice(PACKET_HEADER_LEN - 2..);
-    let arity = buf.get_u16_le() as usize;
-    // Structure and limits were enforced by `validate_packet_at`
-    // before the lazy packet was built, so decoding is infallible and
-    // ingress limits must not be re-applied (they may have tightened
-    // via the env since).
+    // Structure and limits were enforced by `validate_packet_at` before
+    // the lazy packet was built, so decoding is infallible and ingress
+    // limits must not be re-applied (they may have tightened via the
+    // env since).
     let permissive = DecodeLimits::with_max(u64::MAX);
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(decode_value(&mut buf, &permissive).expect("wire was validated at decode"));
-    }
-    let codes: Vec<_> = values.iter().map(Value::type_code).collect();
-    Decoded {
-        fmt: FormatString::from_codes(codes),
-        values,
-    }
+    let (.., decoded) = walk_packet::<true>(&mut Reader::new(wire), &permissive)
+        .expect("wire was validated at decode");
+    decoded.expect("build mode decodes")
 }
 
 /// Appends the wire form of `packet` to `buf`. A packet that still
@@ -449,38 +364,53 @@ pub fn encode_packet(packet: &Packet) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes one packet from the front of `buf`, consuming its bytes.
-pub fn decode_packet_from(buf: &mut impl Buf, limits: &DecodeLimits) -> Result<Packet> {
-    need(buf, 4 + 4 + 4 + 2, "packet header")?;
-    let stream_id = buf.get_u32_le();
-    let tag = buf.get_i32_le();
-    let src = buf.get_u32_le();
-    let arity = buf.get_u16_le() as usize;
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(decode_value(buf, limits)?);
-    }
-    let codes: Vec<_> = values.iter().map(Value::type_code).collect();
-    let fmt = FormatString::from_codes(codes);
+/// Decodes the packet at `r`, leaving `r` one past its last byte.
+pub fn decode_packet_from(r: &mut Reader<'_>, limits: &DecodeLimits) -> Result<Packet> {
+    let (stream_id, tag, src, decoded) = walk_packet::<true>(r, limits)?;
     Ok(Packet::from_decoded(
         stream_id,
         tag,
         src,
-        Decoded { fmt, values },
+        decoded.expect("build mode decodes"),
     ))
 }
 
 /// Decodes one packet from an owned byte buffer.
 pub fn decode_packet(bytes: Bytes) -> Result<Packet> {
-    let mut buf = bytes;
-    let packet = decode_packet_from(&mut buf, &DecodeLimits::default())?;
-    Ok(packet)
+    decode_packet_from(&mut Reader::new(&bytes), &DecodeLimits::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::packet::PacketBuilder;
+
+    /// Reads one packet from a wire buffer, keeping only the outcome.
+    type EntryPoint = fn(&[u8]) -> Result<()>;
+
+    /// The packet walker's two entry points: eager decode (build mode)
+    /// and the ingress validation pass (skip mode). Every test of what
+    /// the grammar rejects runs through both.
+    const ENTRY_POINTS: [(&str, EntryPoint); 2] = [
+        ("decode", |w| {
+            decode_packet(Bytes::copy_from_slice(w)).map(drop)
+        }),
+        ("validate", |w| {
+            validate_packet_at(w, 0, &DecodeLimits::default()).map(drop)
+        }),
+    ];
+
+    /// Header + one value of type `code`, whose body is `body`.
+    fn one_value(code: u8, body: &[u8]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_u32_le(0); // stream
+        buf.put_i32_le(0); // tag
+        buf.put_u32_le(0); // src
+        buf.put_u16_le(1); // arity
+        buf.put_u8(code);
+        buf.put_slice(body);
+        buf
+    }
 
     fn full_packet() -> Packet {
         PacketBuilder::new(12, -5)
@@ -522,52 +452,51 @@ mod tests {
 
     #[test]
     fn truncation_at_every_boundary_is_an_error() {
-        let bytes = encode_packet(&full_packet());
-        for cut in 0..bytes.len() {
-            let slice = bytes.slice(..cut);
-            let err = decode_packet(slice);
-            assert!(err.is_err(), "decode of {cut}-byte prefix should fail");
+        let wire = encode_packet(&full_packet());
+        let limits = DecodeLimits::default();
+        let (stream_id, tag, src, end) = validate_packet_at(&wire, 0, &limits).unwrap();
+        assert_eq!((stream_id, tag, src), (12, -5, 3));
+        assert_eq!(end, wire.len());
+        for (entry, walk) in ENTRY_POINTS {
+            assert!(walk(&wire).is_ok(), "{entry} of the whole packet");
+            for cut in 0..wire.len() {
+                assert!(
+                    walk(&wire[..cut]).is_err(),
+                    "{entry} of {cut}-byte prefix should fail"
+                );
+            }
         }
     }
 
     #[test]
     fn hostile_length_prefix_is_rejected() {
-        // Header + a %s value claiming 4 GiB of body.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0); // stream
-        buf.put_i32_le(0); // tag
-        buf.put_u32_le(0); // src
-        buf.put_u16_le(1); // arity
-        buf.put_u8(TypeCode::Str.tag());
-        buf.put_u32_le(u32::MAX);
-        let err = decode_packet(buf.freeze()).unwrap_err();
-        assert!(matches!(err, PacketError::LengthOverflow { .. }));
+        // A %s value claiming 4 GiB of body.
+        let wire = one_value(TypeCode::Str.tag(), &u32::MAX.to_le_bytes());
+        for (entry, walk) in ENTRY_POINTS {
+            let err = walk(&wire).unwrap_err();
+            assert!(matches!(err, PacketError::LengthOverflow { .. }), "{entry}");
+        }
     }
 
     #[test]
     fn unknown_tag_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
-        buf.put_i32_le(0);
-        buf.put_u32_le(0);
-        buf.put_u16_le(1);
-        buf.put_u8(0x7f);
-        let err = decode_packet(buf.freeze()).unwrap_err();
-        assert!(matches!(err, PacketError::UnknownTypeTag(0x7f)));
+        let wire = one_value(0x7f, &[]);
+        for (entry, walk) in ENTRY_POINTS {
+            let err = walk(&wire).unwrap_err();
+            assert!(matches!(err, PacketError::UnknownTypeTag(0x7f)), "{entry}");
+        }
     }
 
     #[test]
     fn invalid_utf8_is_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
-        buf.put_i32_le(0);
-        buf.put_u32_le(0);
-        buf.put_u16_le(1);
-        buf.put_u8(TypeCode::Str.tag());
-        buf.put_u32_le(2);
-        buf.put_slice(&[0xff, 0xfe]);
-        let err = decode_packet(buf.freeze()).unwrap_err();
-        assert_eq!(err, PacketError::InvalidUtf8);
+        let wire = one_value(TypeCode::Str.tag(), &[2, 0, 0, 0, 0xff, 0xfe]);
+        for (entry, walk) in ENTRY_POINTS {
+            assert_eq!(
+                walk(&wire).unwrap_err(),
+                PacketError::InvalidUtf8,
+                "{entry}"
+            );
+        }
     }
 
     #[test]
@@ -615,70 +544,11 @@ mod tests {
     }
 
     #[test]
-    fn validation_pass_agrees_with_eager_decode_on_every_boundary() {
-        // The skip pass and the eager decoder must accept and reject
-        // exactly the same inputs, byte for byte.
-        let wire = encode_packet(&full_packet());
-        let limits = DecodeLimits::default();
-        let (stream_id, tag, src, end) = validate_packet_at(&wire, 0, &limits).unwrap();
-        assert_eq!((stream_id, tag, src), (12, -5, 3));
-        assert_eq!(end, wire.len());
-        for cut in 0..wire.len() {
-            assert!(
-                validate_packet_at(&wire[..cut], 0, &limits).is_err(),
-                "validation of {cut}-byte prefix should fail"
-            );
-        }
-    }
-
-    #[test]
-    fn validation_rejects_what_decode_rejects() {
-        // Hostile length prefix.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
-        buf.put_i32_le(0);
-        buf.put_u32_le(0);
-        buf.put_u16_le(1);
-        buf.put_u8(TypeCode::Str.tag());
-        buf.put_u32_le(u32::MAX);
-        let limits = DecodeLimits::default();
-        assert!(matches!(
-            validate_packet_at(&buf, 0, &limits).unwrap_err(),
-            PacketError::LengthOverflow { .. }
-        ));
-        // Unknown type tag.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
-        buf.put_i32_le(0);
-        buf.put_u32_le(0);
-        buf.put_u16_le(1);
-        buf.put_u8(0x7f);
-        assert!(matches!(
-            validate_packet_at(&buf, 0, &limits).unwrap_err(),
-            PacketError::UnknownTypeTag(0x7f)
-        ));
-        // Invalid UTF-8 in a string body.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0);
-        buf.put_i32_le(0);
-        buf.put_u32_le(0);
-        buf.put_u16_le(1);
-        buf.put_u8(TypeCode::Str.tag());
-        buf.put_u32_le(2);
-        buf.put_slice(&[0xff, 0xfe]);
-        assert_eq!(
-            validate_packet_at(&buf, 0, &limits).unwrap_err(),
-            PacketError::InvalidUtf8
-        );
-    }
-
-    #[test]
     fn lazy_materialization_matches_eager_decode_for_every_type() {
         let p = full_packet();
         let batch = crate::batch::encode_batch(std::slice::from_ref(&p));
         let lazy = crate::batch::decode_batch_lazy(batch).unwrap().remove(0);
-        let mut eager_wire = encode_packet(&p);
-        let eager = decode_packet_from(&mut eager_wire, &DecodeLimits::default()).unwrap();
+        let eager = decode_packet(encode_packet(&p)).unwrap();
         assert_eq!(lazy.stream_id(), eager.stream_id());
         assert_eq!(lazy.tag(), eager.tag());
         assert_eq!(lazy.src(), eager.src());
@@ -709,12 +579,12 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_packet_into(&a, &mut buf);
         encode_packet_into(&b, &mut buf);
-        let mut bytes = buf.freeze();
+        let mut r = Reader::new(&buf);
         let limits = DecodeLimits::default();
-        let a2 = decode_packet_from(&mut bytes, &limits).unwrap();
-        let b2 = decode_packet_from(&mut bytes, &limits).unwrap();
+        let a2 = decode_packet_from(&mut r, &limits).unwrap();
+        let b2 = decode_packet_from(&mut r, &limits).unwrap();
         assert_eq!(a, a2);
         assert_eq!(b, b2);
-        assert!(bytes.is_empty());
+        assert!(r.is_empty());
     }
 }

@@ -38,6 +38,7 @@ pub use batch::{
     encode_batch, encode_batch_into, encoded_batch_len, Batcher, MAX_BATCH_BYTES,
     MAX_BATCH_PACKETS,
 };
+pub use bytes::Reader;
 pub use codec::{
     decode_packet, decode_packet_from, encode_packet, encode_packet_into, parse_decode_max,
     DecodeLimits, DEFAULT_DECODE_MAX_BYTES, DEFAULT_DECODE_MAX_ELEMS, MAX_DECODE_MAX,

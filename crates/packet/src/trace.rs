@@ -18,7 +18,7 @@
 
 use mrnet_obs::tracectx::{HopRecord, TraceEnvelope, MAX_TRACE_HOPS};
 
-use crate::bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::bytes::{Bytes, BytesMut, Reader};
 use crate::error::{PacketError, Result};
 
 /// Most envelopes one trailer may carry (generous: even a fully
@@ -52,34 +52,28 @@ pub fn encode_envelope(env: &TraceEnvelope) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes one envelope from the front of `buf`.
-pub fn decode_envelope_from(buf: &mut impl Buf) -> Result<TraceEnvelope> {
-    if buf.remaining() < 8 + 4 + 2 {
-        return Err(PacketError::Truncated {
-            context: "trace envelope header",
-        });
-    }
-    let trace_id = buf.get_u64_le();
-    let stream = buf.get_u32_le();
-    let hop_count = buf.get_u16_le() as usize;
+/// Decodes the envelope at `r`, leaving `r` one past it.
+pub fn decode_envelope_from(r: &mut Reader<'_>) -> Result<TraceEnvelope> {
+    const HEADER: &str = "trace envelope header";
+    const HOPS: &str = "trace envelope hops";
+    let trace_id = u64::from_le_bytes(r.get(HEADER)?);
+    let stream = u32::from_le_bytes(r.get(HEADER)?);
+    let hop_count = usize::from(u16::from_le_bytes(r.get(HEADER)?));
     if hop_count > MAX_TRACE_HOPS {
         return Err(PacketError::LengthOverflow {
             len: hop_count as u64,
             limit: MAX_TRACE_HOPS as u64,
         });
     }
-    if buf.remaining() < hop_count * HOP_WIRE_BYTES {
-        return Err(PacketError::Truncated {
-            context: "trace envelope hops",
-        });
-    }
     let hops = (0..hop_count)
-        .map(|_| HopRecord {
-            rank: buf.get_u32_le(),
-            recv_us: buf.get_u64_le(),
-            send_us: buf.get_u64_le(),
+        .map(|_| {
+            Ok(HopRecord {
+                rank: u32::from_le_bytes(r.get(HOPS)?),
+                recv_us: u64::from_le_bytes(r.get(HOPS)?),
+                send_us: u64::from_le_bytes(r.get(HOPS)?),
+            })
         })
-        .collect();
+        .collect::<Result<_>>()?;
     Ok(TraceEnvelope {
         trace_id,
         stream,
@@ -88,10 +82,10 @@ pub fn decode_envelope_from(buf: &mut impl Buf) -> Result<TraceEnvelope> {
 }
 
 /// Decodes a standalone envelope, rejecting trailing bytes.
-pub fn decode_envelope(bytes: Bytes) -> Result<TraceEnvelope> {
-    let mut buf = bytes;
-    let env = decode_envelope_from(&mut buf)?;
-    if buf.has_remaining() {
+pub fn decode_envelope(bytes: &[u8]) -> Result<TraceEnvelope> {
+    let mut r = Reader::new(bytes);
+    let env = decode_envelope_from(&mut r)?;
+    if !r.is_empty() {
         return Err(PacketError::MalformedBatch(
             "trailing bytes after trace envelope",
         ));
@@ -108,21 +102,17 @@ pub fn encode_trailer_into(envelopes: &[TraceEnvelope], buf: &mut BytesMut) {
     }
 }
 
-/// Decodes a trailer (envelope list) from the front of `buf`.
-pub fn decode_trailer_from(buf: &mut impl Buf) -> Result<Vec<TraceEnvelope>> {
-    if buf.remaining() < 2 {
-        return Err(PacketError::Truncated {
-            context: "trace trailer count",
-        });
-    }
-    let count = buf.get_u16_le() as usize;
+/// Decodes the trailer (envelope list) at `r`, leaving `r` one past
+/// it.
+pub fn decode_trailer_from(r: &mut Reader<'_>) -> Result<Vec<TraceEnvelope>> {
+    let count = usize::from(u16::from_le_bytes(r.get("trace trailer count")?));
     if count > MAX_TRAILER_ENVELOPES {
         return Err(PacketError::LengthOverflow {
             len: count as u64,
             limit: MAX_TRAILER_ENVELOPES as u64,
         });
     }
-    (0..count).map(|_| decode_envelope_from(buf)).collect()
+    (0..count).map(|_| decode_envelope_from(r)).collect()
 }
 
 #[cfg(test)]
@@ -153,7 +143,7 @@ mod tests {
         let env = sample_env();
         let wire = encode_envelope(&env);
         assert_eq!(wire.len(), envelope_encoded_size(&env));
-        assert_eq!(decode_envelope(wire).unwrap(), env);
+        assert_eq!(decode_envelope(&wire).unwrap(), env);
     }
 
     #[test]
@@ -164,10 +154,10 @@ mod tests {
         b.hops.pop();
         let mut buf = BytesMut::new();
         encode_trailer_into(&[a.clone(), b.clone()], &mut buf);
-        let mut wire = buf.freeze();
-        let got = decode_trailer_from(&mut wire).unwrap();
+        let mut r = Reader::new(&buf);
+        let got = decode_trailer_from(&mut r).unwrap();
         assert_eq!(got, vec![a, b]);
-        assert!(!wire.has_remaining());
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -175,8 +165,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_trailer_into(&[], &mut buf);
         assert_eq!(buf.len(), 2);
-        let mut wire = buf.freeze();
-        assert_eq!(decode_trailer_from(&mut wire).unwrap(), vec![]);
+        assert_eq!(decode_trailer_from(&mut Reader::new(&buf)).unwrap(), vec![]);
     }
 
     #[test]
@@ -184,15 +173,12 @@ mod tests {
         let env = sample_env();
         let wire = encode_envelope(&env);
         for cut in 0..wire.len() {
-            let err = decode_envelope(wire.slice(..cut)).unwrap_err();
+            let err = decode_envelope(&wire[..cut]).unwrap_err();
             assert!(matches!(err, PacketError::Truncated { .. }), "cut={cut}");
         }
-        let err = decode_envelope({
-            let mut long = BytesMut::from(&wire[..]);
-            long.put_u8(0);
-            long.freeze()
-        })
-        .unwrap_err();
+        let mut long = BytesMut::from(&wire[..]);
+        long.put_u8(0);
+        let err = decode_envelope(&long).unwrap_err();
         assert!(matches!(err, PacketError::MalformedBatch(_)));
     }
 
@@ -203,12 +189,12 @@ mod tests {
         buf.put_u64_le(1);
         buf.put_u32_le(0);
         buf.put_u16_le(u16::MAX);
-        let err = decode_envelope_from(&mut buf.freeze()).unwrap_err();
+        let err = decode_envelope_from(&mut Reader::new(&buf)).unwrap_err();
         assert!(matches!(err, PacketError::LengthOverflow { .. }));
         // Trailer claiming more envelopes than the cap.
         let mut buf = BytesMut::new();
         buf.put_u16_le((MAX_TRAILER_ENVELOPES + 1) as u16);
-        let err = decode_trailer_from(&mut buf.freeze()).unwrap_err();
+        let err = decode_trailer_from(&mut Reader::new(&buf)).unwrap_err();
         assert!(matches!(err, PacketError::LengthOverflow { .. }));
     }
 }
