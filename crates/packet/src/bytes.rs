@@ -264,13 +264,16 @@ impl<'a> Reader<'a> {
 
     /// Reads the next `n` bytes; `context` names them in the error if
     /// fewer remain. This and [`Reader::get`] are always inlined: the
-    /// packet walker calls them for every value of every packet.
+    /// packet walker calls them for every value of every packet. Both
+    /// are written without `ok_or` and `try_into().expect`, whose calls
+    /// an unoptimized build keeps: they made a debug build's ingress
+    /// validation about 1.6x slower than its encoder.
     #[inline(always)]
     pub fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8]> {
-        let head = self
-            .data
-            .get(self.pos..self.pos + n)
-            .ok_or(PacketError::Truncated { context })?;
+        if self.data.len() - self.pos < n {
+            return Err(PacketError::Truncated { context });
+        }
+        let head = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(head)
     }
@@ -278,7 +281,9 @@ impl<'a> Reader<'a> {
     /// Reads the next `N` bytes as an array, for `from_le_bytes`.
     #[inline(always)]
     pub fn get<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N]> {
-        Ok(self.take(N, context)?.try_into().expect("took N bytes"))
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N, context)?);
+        Ok(out)
     }
 }
 

@@ -453,10 +453,6 @@ mod tests {
     #[test]
     fn truncation_at_every_boundary_is_an_error() {
         let wire = encode_packet(&full_packet());
-        let limits = DecodeLimits::default();
-        let (stream_id, tag, src, end) = validate_packet_at(&wire, 0, &limits).unwrap();
-        assert_eq!((stream_id, tag, src), (12, -5, 3));
-        assert_eq!(end, wire.len());
         for (entry, walk) in ENTRY_POINTS {
             assert!(walk(&wire).is_ok(), "{entry} of the whole packet");
             for cut in 0..wire.len() {
@@ -465,6 +461,27 @@ mod tests {
                     "{entry} of {cut}-byte prefix should fail"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn validation_pass_agrees_with_eager_decode_on_every_boundary() {
+        // The skip pass and the eager decoder must accept and reject
+        // exactly the same inputs, byte for byte, and read the same header.
+        let wire = encode_packet(&full_packet());
+        let limits = DecodeLimits::default();
+        let decoded = decode_packet(wire.clone()).unwrap();
+        let (stream_id, tag, src, end) = validate_packet_at(&wire, 0, &limits).unwrap();
+        assert_eq!(
+            (stream_id, tag, src),
+            (decoded.stream_id(), decoded.tag(), decoded.src())
+        );
+        assert_eq!((stream_id, tag, src), (12, -5, 3));
+        assert_eq!(end, wire.len());
+        for cut in 0..=wire.len() {
+            let eager = decode_packet(wire.slice(..cut)).is_ok();
+            let skip = validate_packet_at(&wire[..cut], 0, &limits).is_ok();
+            assert_eq!(eager, skip, "decode and validate disagree on {cut} bytes");
         }
     }
 
