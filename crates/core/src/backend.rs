@@ -5,7 +5,7 @@
 //! receives that yield both the data and the stream it arrived on, and
 //! sends scalar values upstream on those streams.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -18,6 +18,7 @@ use mrnet_transport::{LocalFabric, RetryPolicy, SharedConnection};
 
 use crate::error::{MrnetError, Result};
 use crate::event::{FailureLedger, TopologyEvent};
+use crate::intmap::IntMap;
 use crate::introspect::{self, METRICS_REQUEST, METRICS_STREAM};
 use crate::proto::{decode_frame, encode_data_frame, encode_traced_data_frame, Control, Frame};
 
@@ -27,7 +28,7 @@ pub struct Backend {
     conn: SharedConnection,
     /// The streams this back-end has learned about, each with its packet
     /// counters cached so a send needs no registry lookup.
-    streams: Mutex<HashMap<StreamId, Arc<StreamCounters>>>,
+    streams: Mutex<IntMap<StreamId, Arc<StreamCounters>>>,
     pending: Mutex<VecDeque<Packet>>,
     down: AtomicBool,
     metrics: Arc<NodeMetrics>,
@@ -53,7 +54,7 @@ impl Backend {
         Ok(Backend {
             rank,
             conn,
-            streams: Mutex::new(HashMap::new()),
+            streams: Mutex::default(),
             pending: Mutex::new(VecDeque::new()),
             down: AtomicBool::new(false),
             metrics: Arc::new(NodeMetrics::new()),
@@ -120,21 +121,35 @@ impl Backend {
     }
 
     /// Queues a frame's data packets for [`Backend::recv`], answering
-    /// any in-band metrics requests among them.
+    /// any in-band metrics requests among them. A run of consecutive
+    /// packets on one stream takes the stream's counters once.
     fn ingest_packets(&self, packets: Vec<Packet>) {
         let mut requests = Vec::new();
+        let mut recv = 0;
         let mut pending = self.pending.lock().unpoisoned();
-        for p in packets {
-            if p.stream_id() == METRICS_STREAM {
+        let mut packets = packets.into_iter().peekable();
+        while let Some(p) = packets.next() {
+            let sid = p.stream_id();
+            if sid == METRICS_STREAM {
                 if p.tag() == METRICS_REQUEST {
                     requests.push(p);
                 }
                 continue;
             }
-            self.metrics.down_pkts_recv.inc();
-            self.metrics.stream_counters(p.stream_id()).down_pkts.inc();
+            let start = pending.len();
             pending.push_back(p);
+            pending.extend(std::iter::from_fn(|| {
+                packets.next_if(|p| p.stream_id() == sid)
+            }));
+            let n = (pending.len() - start) as u64;
+            recv += n;
+            // Cached in the stream table; from the registry for a
+            // stream the table lacks (data racing its delete).
+            let cached = self.streams.lock().unpoisoned().get(&sid).cloned();
+            let counters = cached.unwrap_or_else(|| self.metrics.stream_counters(sid));
+            counters.down_pkts.add(n);
         }
+        self.metrics.down_pkts_recv.add(recv);
         drop(pending);
         for request in &requests {
             self.answer_metrics(request);
@@ -352,6 +367,33 @@ mod tests {
         let (pkt, sid) = be.recv_timeout(Duration::MAX).unwrap().expect("a packet");
         assert_eq!((pkt.get(0).and_then(Value::as_i32), sid), (Some(42), SID));
         sender.join().unwrap();
+    }
+
+    /// One frame carrying runs on two streams, one of them announced
+    /// and one not (data racing its stream's delete), counts every
+    /// packet on its own stream and queues them all in order.
+    #[test]
+    fn one_frame_on_two_streams_counts_each_stream_exactly() {
+        const OTHER: StreamId = SID + 1;
+        let (be, parent) = backend_with_stream();
+        let metrics = be.metrics();
+        let sids = [SID, SID, OTHER, OTHER, OTHER, SID];
+        let frame: Vec<Packet> = (sids.iter().zip(0..))
+            .map(|(&sid, v)| PacketBuilder::new(sid, 1).push(v).build())
+            .collect();
+        parent.send(encode_data_frame(&frame)).unwrap();
+        let got: Vec<_> = (0..sids.len())
+            .map(|_| {
+                let (p, sid) = be.recv().unwrap();
+                (sid, p.get(0).and_then(Value::as_i32).unwrap())
+            })
+            .collect();
+        let sent: Vec<_> = sids.iter().copied().zip(0..).collect();
+        assert_eq!(got, sent);
+        // The setup's packet and three of this frame's on SID.
+        assert_eq!(metrics.stream_counters(SID).down_pkts.get(), 4);
+        assert_eq!(metrics.stream_counters(OTHER).down_pkts.get(), 3);
+        assert_eq!(metrics.down_pkts_recv.get(), 7);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! receive). Supports multiple concurrent receivers via condvar
 //! wake-ups; a deposit with no receiver parked notifies nobody.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -15,6 +15,7 @@ use mrnet_packet::{Packet, StreamId};
 use mrnet_transport::chan::CountedCondvar;
 
 use crate::error::{MrnetError, Result};
+use crate::intmap::{IntMap, IntSet};
 
 #[derive(Default)]
 struct State {
@@ -22,30 +23,17 @@ struct State {
     /// The packet an any-stream receive takes is the queue front with
     /// the lowest number, so arrival order costs no bookkeeping beyond
     /// the queued packets themselves.
-    per_stream: HashMap<StreamId, VecDeque<(u64, Packet)>>,
+    per_stream: IntMap<StreamId, VecDeque<(u64, Packet)>>,
     /// The next arrival number.
     next_seq: u64,
     /// Lifetime count of packets delivered per stream (not reduced by
     /// consumption) — the front-end's receive counters.
-    received: HashMap<StreamId, u64>,
+    received: IntMap<StreamId, u64>,
     /// Streams whose every end-point has failed: once drained, receives
     /// on them return [`MrnetError::AllEndpointsFailed`] instead of
     /// blocking forever for packets that can never come.
-    failed: HashSet<StreamId>,
+    failed: IntSet<StreamId>,
     closed: bool,
-}
-
-impl State {
-    fn enqueue(&mut self, packet: Packet) {
-        let sid = packet.stream_id();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.per_stream
-            .entry(sid)
-            .or_default()
-            .push_back((seq, packet));
-        *self.received.entry(sid).or_insert(0) += 1;
-    }
 }
 
 /// Thread-safe packet mailbox for the front-end.
@@ -84,15 +72,27 @@ impl Delivery {
 
     /// Deposits a whole wave of packets under one lock acquisition and
     /// one receiver wake-up — the root's counterpart of a batched
-    /// frame. FIFO order within the wave is preserved.
+    /// frame. FIFO order within the wave is preserved. A run of
+    /// consecutive packets on one stream finds its queue once and adds
+    /// to its count once; each packet still gets its own arrival
+    /// number.
     pub fn push_many(&self, packets: impl IntoIterator<Item = Packet>) {
-        let mut st = self.state.lock().unpoisoned();
-        let mut any = false;
-        for packet in packets {
-            st.enqueue(packet);
-            any = true;
+        let mut guard = self.state.lock().unpoisoned();
+        let st = &mut *guard;
+        let mut packets = packets.into_iter().peekable();
+        let first_seq = st.next_seq;
+        while let Some(first) = packets.next() {
+            let sid = first.stream_id();
+            let queue = st.per_stream.entry(sid).or_default();
+            let start = st.next_seq;
+            let rest = std::iter::from_fn(|| packets.next_if(|p| p.stream_id() == sid));
+            for packet in std::iter::once(first).chain(rest) {
+                queue.push_back((st.next_seq, packet));
+                st.next_seq += 1;
+            }
+            *st.received.entry(sid).or_insert(0) += st.next_seq - start;
         }
-        if any {
+        if st.next_seq != first_seq {
             self.cv.notify_all();
         }
     }
@@ -249,6 +249,26 @@ mod tests {
             d.recv_on(1, None).unwrap().get(0).unwrap().as_i32(),
             Some(11)
         );
+    }
+
+    /// Runs of one stream within a wave, and across two waves, each
+    /// find their queue once; every packet keeps its own place in the
+    /// stream's FIFO and in the arrival order, and every one counts.
+    #[test]
+    fn push_many_runs_keep_fifo_arrival_order_and_counts() {
+        let d = Delivery::new();
+        let first = [(1, 0), (1, 1), (2, 2), (2, 3), (2, 4), (1, 5), (3, 6)];
+        let second = [(3, 7), (1, 8), (1, 9), (2, 10)];
+        d.push_many(first.map(|(sid, v)| pkt(sid, v)));
+        d.push_many(second.map(|(sid, v)| pkt(sid, v)));
+        let counts: Vec<_> = (1..=3).map(|sid| d.stream_stats(sid).received).collect();
+        assert_eq!(counts, [5, 4, 2]);
+        let value = |p: Packet| p.get(0).unwrap().as_i32().unwrap();
+        let two: Vec<_> = (0..4).map(|_| value(d.recv_on(2, None).unwrap())).collect();
+        assert_eq!(two, [2, 3, 4, 10]);
+        let rest: Vec<_> = (0..7).map(|_| value(d.recv_any(None).unwrap())).collect();
+        assert_eq!(rest, [0, 1, 5, 6, 7, 8, 9]);
+        assert_eq!(d.stream_stats(1).received, 5);
     }
 
     #[test]

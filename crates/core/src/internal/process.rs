@@ -17,7 +17,7 @@
 //! machines of their own (`internal/clock_sync.rs`,
 //! `internal/collect.rs`).
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,6 +40,7 @@ use crate::internal::clock_sync::{self, ChildClock, ClockEntry, PongStep};
 use crate::internal::collect::{Collect, Collects};
 use crate::internal::sched::{self, Inbox, Slot, Turns};
 use crate::internal::stream_manager::StreamManager;
+use crate::intmap::IntMap;
 use crate::introspect::{self, METRICS_REPLY, METRICS_REQUEST, METRICS_STREAM, TRACE_REPORT};
 use crate::proto::{
     append_to_data_frame, decode_frame, encode_data_frame, encode_traced_data_frame,
@@ -243,7 +244,7 @@ pub struct NodeLoop {
     up: Upstream,
     children: Vec<Child>,
     routes: RoutingTable,
-    managers: HashMap<StreamId, StreamManager>,
+    managers: IntMap<StreamId, StreamManager>,
     inbox: Receiver<Inbound>,
     /// The messages the current turn drained, kept to reuse its buffer.
     batch: VecDeque<Inbound>,
@@ -257,7 +258,7 @@ pub struct NodeLoop {
     known_dead: BTreeSet<Rank>,
     /// Up-wave trace envelopes (with their local receive stamps) held
     /// per stream until the wave they rode synchronizes and forwards.
-    trace_pending_up: HashMap<StreamId, Vec<(TraceEnvelope, u64)>>,
+    trace_pending_up: IntMap<StreamId, Vec<(TraceEnvelope, u64)>>,
 }
 
 /// Delivers one connection's frames into the node inbox, on the
@@ -370,7 +371,7 @@ impl NodeLoop {
             up,
             children,
             routes: RoutingTable::new(),
-            managers: HashMap::new(),
+            managers: IntMap::default(),
             inbox: rx,
             batch: VecDeque::new(),
             metrics: slot.metrics().clone(),
@@ -378,7 +379,7 @@ impl NodeLoop {
             epoch: Instant::now(),
             collects: Collects::default(),
             known_dead: BTreeSet::new(),
-            trace_pending_up: HashMap::new(),
+            trace_pending_up: IntMap::default(),
         }
     }
 
@@ -775,17 +776,23 @@ impl NodeLoop {
     }
 
     /// Synchronizes and transforms one frame's packets, then forwards
-    /// everything the frame released as one wave. A relay stream (see
-    /// [`StreamManager::is_relay`]) passes each packet straight
-    /// through; the clock is read only if some other stream needs it.
-    /// On a child-attributable error the packets released before it
-    /// still forward.
+    /// everything the frame released as one wave. A run of consecutive
+    /// packets on one relay stream (see [`StreamManager::is_relay`])
+    /// passes straight through, booked once for the whole run: one
+    /// stream lookup, one participant check and one add per counter.
+    /// Other streams take their packets one at a time; the clock is
+    /// read only if one of them needs it. On a child-attributable error
+    /// the packets released before it still forward.
     fn on_child_packets(&mut self, child: usize, packets: Vec<Packet>) -> Result<()> {
         let epoch = self.epoch;
         let mut now = None;
         let mut ready = Vec::with_capacity(packets.len());
+        // The frame's `up.pkts.recv`, added once: every routed packet
+        // up to and including the one an error stops at.
+        let mut recv = 0;
         let mut result = Ok(());
-        for packet in packets {
+        let mut packets = packets.into_iter().peekable();
+        while let Some(packet) = packets.next() {
             let sid = packet.stream_id();
             if sid == METRICS_STREAM {
                 // Introspection traffic: handled here, never routed or
@@ -795,20 +802,27 @@ impl NodeLoop {
                 self.on_introspect_up(child, &packet);
                 continue;
             }
-            self.metrics.up_pkts_recv.inc();
+            recv += 1;
             // Stream unknown (deleted or never created): drop, as the
             // original does for stale data.
             let Some(mgr) = self.managers.get_mut(&sid) else {
                 continue;
             };
             if mgr.is_relay() {
-                match mgr.relay_up(child, packet) {
-                    Ok(p) => ready.push(p),
-                    Err(e) => {
-                        result = Err(e);
-                        break;
-                    }
+                let start = ready.len();
+                ready.push(packet);
+                ready.extend(std::iter::from_fn(|| {
+                    packets.next_if(|p| p.stream_id() == sid)
+                }));
+                let n = ready.len() - start;
+                // The whole run shares the stream and the child: a
+                // non-participant fails at the run's first packet.
+                if let Err(e) = mgr.relay_run(child, n) {
+                    ready.truncate(start);
+                    result = Err(e);
+                    break;
                 }
+                recv += n - 1;
                 continue;
             }
             let now = *now.get_or_insert_with(|| epoch.elapsed().as_secs_f64());
@@ -821,6 +835,7 @@ impl NodeLoop {
                 }
             }
         }
+        self.metrics.up_pkts_recv.add(recv as u64);
         self.forward_up_wave(ready);
         result
     }
@@ -930,13 +945,10 @@ impl NodeLoop {
         }
         self.take_pending_up(&packets);
         self.metrics.up_pkts_sent.add(packets.len() as u64);
-        for p in &packets {
-            if p.is_lazy() {
-                // The fast path: this packet moves on (or is
-                // delivered) as the exact bytes it arrived in.
-                self.metrics.pkts_lazy_relayed.inc();
-            }
-        }
+        // The fast path: a lazy packet moves on (or is delivered) as
+        // the exact bytes it arrived in.
+        let lazy = packets.iter().filter(|p| p.is_lazy()).count();
+        self.metrics.pkts_lazy_relayed.add(lazy as u64);
         match &mut self.up {
             Upstream::FrontEnd(fe) => {
                 // Root: "sent" upstream means delivered to user

@@ -10,7 +10,6 @@
 //! its upstream/downstream transformation filter instances, and knows
 //! which of the process's children participate in the stream.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use mrnet_filters::{BoxedTransform, FilterContext, FilterRegistry, SyncFilter, SyncMode};
@@ -18,6 +17,7 @@ use mrnet_obs::{FilterStats, NodeMetrics, StreamCounters};
 use mrnet_packet::{Packet, Rank};
 
 use crate::error::{MrnetError, Result};
+use crate::intmap::IntMap;
 use crate::route::RoutingTable;
 use crate::streams::StreamDef;
 
@@ -32,7 +32,7 @@ pub struct StreamManager {
     /// Local child indices participating in this stream, in child
     /// order; the position within this vector is the sync-filter slot.
     participants: Vec<usize>,
-    slot_of_child: HashMap<usize, usize>,
+    slot_of_child: IntMap<usize, usize>,
     /// Per-slot stream end-points served through that participant
     /// child, shrunk as failures are pruned; a slot whose target set
     /// empties is deactivated in the sync filter.
@@ -51,8 +51,9 @@ pub struct StreamManager {
     /// When the oldest still-pending wave started accumulating.
     first_arrival: Option<f64>,
     /// `DoNotWait` sync and the `null` up filter: every upstream packet
-    /// is its own wave and leaves unchanged, so [`StreamManager::relay_up`]
-    /// forwards it without the sync filter or a transform.
+    /// is its own wave and leaves unchanged, so the node loop forwards
+    /// it without the sync filter or a transform (see
+    /// [`StreamManager::relay_run`]).
     relay: bool,
 }
 
@@ -71,7 +72,7 @@ impl StreamManager {
             .children_with_targets(&def.endpoints)
             .into_iter()
             .unzip();
-        let slot_of_child: HashMap<usize, usize> = participants
+        let slot_of_child: IntMap<usize, usize> = participants
             .iter()
             .enumerate()
             .map(|(slot, &child)| (child, slot))
@@ -118,22 +119,24 @@ impl StreamManager {
         &self.live_route
     }
 
-    /// True when upstream packets take [`StreamManager::relay_up`]
-    /// instead of [`StreamManager::up`] + [`StreamManager::transform_wave`].
+    /// True when upstream packets skip [`StreamManager::up`] and
+    /// [`StreamManager::transform_wave`]: the node loop forwards them as
+    /// they are and books them with [`StreamManager::relay_run`].
     pub fn is_relay(&self) -> bool {
         self.relay
     }
 
-    /// The upstream path of a relay stream (see
-    /// [`StreamManager::is_relay`]): checks that `child` participates,
-    /// counts the packet and its one-packet wave, and hands the packet
-    /// back to forward as is. It reads no clock, so the stream records
-    /// no sync-wait or exec time.
-    pub fn relay_up(&mut self, child: usize, packet: Packet) -> Result<Packet> {
+    /// The upstream bookkeeping of a relay stream (see
+    /// [`StreamManager::is_relay`]) for a run of `n` consecutive
+    /// packets from `child`: checks once that `child` participates, and
+    /// counts the `n` packets and their `n` one-packet waves with one
+    /// add each. It reads no clock, so the stream records no sync-wait
+    /// or exec time.
+    pub fn relay_run(&self, child: usize, n: usize) -> Result<()> {
         self.slot(child)?;
-        self.counters.up_pkts.inc();
-        self.up_stats.waves.inc();
-        Ok(packet)
+        self.counters.up_pkts.add(n as u64);
+        self.up_stats.waves.add(n as u64);
+        Ok(())
     }
 
     /// The sync-filter slot of local child `child`; an error if the

@@ -47,6 +47,7 @@ mod error;
 mod event;
 mod instantiate;
 pub mod internal;
+mod intmap;
 pub mod introspect;
 mod network;
 pub mod procspawn;

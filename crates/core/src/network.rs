@@ -13,7 +13,6 @@
 //! Streams are created and managed by the front-end; communication is
 //! only between the front-end and its back-ends (§2.1).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -32,6 +31,7 @@ use crate::error::{MrnetError, Result};
 use crate::event::{FailureLedger, TopologyEvent};
 use crate::internal::process::{Command, Inbound};
 use crate::internal::sched::Inbox;
+use crate::intmap::IntMap;
 use crate::proto::FIRST_USER_STREAM;
 use crate::streams::StreamDef;
 
@@ -46,7 +46,7 @@ pub(crate) struct NetInner {
     next_metrics_req: AtomicU32,
     /// Each open stream's definition and its front-end sent counter,
     /// which every handle on the stream shares.
-    streams: Mutex<HashMap<StreamId, (StreamDef, Arc<AtomicU64>)>>,
+    streams: Mutex<IntMap<StreamId, (StreamDef, Arc<AtomicU64>)>>,
     joins: Mutex<Vec<JoinHandle<()>>>,
     down: AtomicBool,
 }
@@ -150,7 +150,7 @@ impl Network {
                 assembler,
                 next_stream: AtomicU32::new(FIRST_USER_STREAM),
                 next_metrics_req: AtomicU32::new(0),
-                streams: Mutex::new(HashMap::new()),
+                streams: Mutex::default(),
                 joins: Mutex::new(joins),
                 down: AtomicBool::new(false),
             }),
@@ -294,8 +294,9 @@ impl Network {
             reply: tx,
         })?;
         // The root answers (possibly partially) at its own deadline;
-        // the slack covers scheduling of the reply itself.
-        rx.recv_timeout(timeout + Duration::from_secs(2))
+        // the slack covers scheduling of the reply itself. A deadline
+        // past what `Duration` can hold is no deadline.
+        rx.recv_timeout(timeout.saturating_add(Duration::from_secs(2)))
             .map_err(|_| MrnetError::Timeout)
     }
 

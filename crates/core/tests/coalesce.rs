@@ -381,3 +381,106 @@ fn a_queued_burst_arrives_before_its_senders_failure() {
     assert_eq!(values(&up[..failed_at]), expected);
     assert!(values(&up[failed_at..]).is_empty());
 }
+
+/// Announces a second `null` `DoNotWait` stream, `SID + 1`, over the
+/// back-ends `members` to the node, through its parent.
+fn second_stream(rig: &Rig, members: &[usize]) {
+    let def = Control::NewStream {
+        stream_id: SID + 1,
+        endpoints: members.iter().copied().map(rank).collect(),
+        up_filter: "null".into(),
+        down_filter: "null".into(),
+        sync: SyncMode::DoNotWait,
+    };
+    rig.parent.send(def.to_frame()).unwrap();
+}
+
+/// A packet on stream `sid` carrying `v`.
+fn on(sid: StreamId, v: i32) -> Packet {
+    PacketBuilder::new(sid, 1).push(v).build()
+}
+
+/// Queues one whole data frame of `packets` from child `child`, as its
+/// connection would deliver it.
+fn child_frame(rig: &Rig, child: u32, packets: &[Packet]) {
+    let frame = encode_data_frame(packets);
+    rig.inbox.0.send(Inbound::Child(child, frame)).unwrap();
+}
+
+/// The node's upstream counters: `up.pkts.recv`, each stream's
+/// `up_pkts`, the `null` filter's `waves`, `pkts.lazy_relayed` and
+/// `up.pkts.sent`.
+fn up_counters(metrics: &mrnet::obs::NodeMetrics) -> [u64; 6] {
+    [
+        metrics.up_pkts_recv.get(),
+        metrics.stream_counters(SID).up_pkts.get(),
+        metrics.stream_counters(SID + 1).up_pkts.get(),
+        metrics.filter_stats("null").waves.get(),
+        metrics.pkts_lazy_relayed.get(),
+        metrics.up_pkts_sent.get(),
+    ]
+}
+
+/// (f) Runs of same-stream packets on two relay streams, split by an
+/// introspection packet, forward upstream in input order, and every
+/// counter reads what it would read had each packet been booked alone.
+#[test]
+fn relay_runs_forward_in_order_with_exact_counters() {
+    let rig = rig(1);
+    second_stream(&rig, &[0]);
+    let (r1, r2) = (SID, SID + 1);
+    child_frame(
+        &rig,
+        0,
+        &[
+            on(r1, 0),
+            on(r1, 1),
+            on(r2, 2),
+            encode_request(7, 1.0),
+            on(r1, 3),
+        ],
+    );
+    let metrics = rig.node.metrics();
+    let up = run(rig);
+    let order: Vec<_> = up
+        .iter()
+        .filter_map(|m| m.as_ref().ok())
+        .map(|p| (p.stream_id(), p.get(0).and_then(Value::as_i32).unwrap()))
+        .collect();
+    assert_eq!(order, [(r1, 0), (r1, 1), (r2, 2), (r1, 3)]);
+    // Four routed packets (the introspection packet is not counted),
+    // three on r1 and one on r2; four one-packet waves through `null`;
+    // all four forwarded in their arrival bytes.
+    assert_eq!(up_counters(&metrics), [4, 3, 1, 4, 4, 4]);
+}
+
+/// (g) A run on a stream its child does not take part in fails at its
+/// first packet: the packets before it forward, the child is declared
+/// failed, and the counters read what booking each packet alone left
+/// (the node loop that booked relay packets one at a time measured
+/// these same numbers).
+#[test]
+fn a_non_participant_run_fails_at_its_first_packet() {
+    let rig = rig(2);
+    // Child 0 is no member of the second stream.
+    second_stream(&rig, &[1]);
+    let (s, b) = (SID, SID + 1);
+    child_frame(&rig, 0, &[on(s, 0), on(s, 1), on(b, 2), on(b, 3), on(s, 4)]);
+    let metrics = rig.node.metrics();
+    let up = run(rig);
+    let failed_at = up
+        .iter()
+        .position(|m| matches!(m, Err(Control::RankFailed { rank: r, .. }) if *r == rank(0)))
+        .expect("a failure report upstream");
+    let before: Vec<_> = up[..failed_at]
+        .iter()
+        .filter_map(|m| m.as_ref().ok())
+        .map(|p| (p.stream_id(), p.get(0).and_then(Value::as_i32).unwrap()))
+        .collect();
+    assert_eq!(before, [(s, 0), (s, 1)]);
+    assert!(values(&up[failed_at..]).is_empty());
+    // Three packets received: the two forwarded and the one the run
+    // failed at; nothing booked on the second stream.
+    assert_eq!(up_counters(&metrics), [3, 2, 0, 2, 2, 2]);
+    assert_eq!(metrics.peer_deaths.get(), 1);
+}

@@ -427,6 +427,27 @@ fn exports_list_ranks_in_ascending_order() {
     }
 }
 
+/// A timeout too long for `Duration` to add the reply's slack to is no
+/// deadline: a snapshot and an export wait for every node's section
+/// instead of panicking.
+#[test]
+fn snapshots_with_an_unrepresentable_timeout_wait_without_one() {
+    let _untraced = TRACE_GATE.read();
+    let dep = launch_local(generator::balanced(2, 1, &mut pool()).unwrap()).unwrap();
+    let net = dep.network.clone();
+    let handles: Vec<JoinHandle<()>> = (dep.backends.into_iter())
+        .map(|be| std::thread::spawn(move || pump(&be)))
+        .collect();
+    let snap = net.metrics_snapshot(Duration::MAX).unwrap();
+    assert_eq!(snap.nodes.len(), 3, "the root and both back-ends answered");
+    let export = net.export_metrics(Duration::MAX).unwrap();
+    assert_eq!(export.snapshot.nodes.len(), 3);
+    net.shutdown();
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
 /// Every name a traced tree reports, in its snapshot and in both export
 /// renderings, belongs to the catalogue (`mrnet_obs::metrics::METRICS`);
 /// a histogram's entries belong to their base name.
