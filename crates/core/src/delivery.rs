@@ -1,10 +1,11 @@
-//! Delivery of upstream packets to the front-end's user threads.
+//! The packet mailbox of the front-end and of every back-end.
 //!
-//! The root node loop pushes fully-aggregated packets here; user
+//! The root node loop, or a back-end's sink, pushes packets here; user
 //! threads block in [`Delivery::recv_on`] (per-stream receive, the
 //! paper's `stream->recv`) or [`Delivery::recv_any`] (stream-anonymous
 //! receive). Supports multiple concurrent receivers via condvar
-//! wake-ups; a deposit with no receiver parked notifies nobody.
+//! wake-ups; a deposit with no receiver parked notifies nobody. A TCP
+//! back-end's mailbox is bounded, so a full one makes its reader wait.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
@@ -33,14 +34,19 @@ struct State {
     /// on them return [`MrnetError::AllEndpointsFailed`] instead of
     /// blocking forever for packets that can never come.
     failed: IntSet<StreamId>,
+    queued: usize,
     closed: bool,
 }
 
-/// Thread-safe packet mailbox for the front-end.
+/// Thread-safe packet mailbox for the front-end and the back-ends.
 #[derive(Default)]
 pub struct Delivery {
     state: Mutex<State>,
     cv: CountedCondvar,
+    /// Queued packets at which a deposit waits (`None`: unbounded).
+    cap: Option<usize>,
+    /// Signalled when a bounded mailbox makes room or closes.
+    room: CountedCondvar,
 }
 
 /// A point-in-time view of one stream's standing in the mailbox,
@@ -65,6 +71,14 @@ impl Delivery {
         Delivery::default()
     }
 
+    /// An empty mailbox whose deposits wait while `cap` packets queue.
+    pub(crate) fn with_capacity(cap: Option<usize>) -> Delivery {
+        Delivery {
+            cap,
+            ..Delivery::default()
+        }
+    }
+
     /// Deposits a packet (called by the root node loop).
     pub fn push(&self, packet: Packet) {
         self.push_many([packet]);
@@ -75,9 +89,12 @@ impl Delivery {
     /// frame. FIFO order within the wave is preserved. A run of
     /// consecutive packets on one stream finds its queue once and adds
     /// to its count once; each packet still gets its own arrival
-    /// number.
+    /// number. A full bounded mailbox takes the wave once it has room.
     pub fn push_many(&self, packets: impl IntoIterator<Item = Packet>) {
         let mut guard = self.state.lock().unpoisoned();
+        while self.cap.is_some_and(|cap| guard.queued >= cap) && !guard.closed {
+            guard = self.room.wait(guard, None);
+        }
         let st = &mut *guard;
         let mut packets = packets.into_iter().peekable();
         let first_seq = st.next_seq;
@@ -93,6 +110,7 @@ impl Delivery {
             *st.received.entry(sid).or_insert(0) += st.next_seq - start;
         }
         if st.next_seq != first_seq {
+            st.queued += (st.next_seq - first_seq) as usize;
             self.cv.notify_all();
         }
     }
@@ -103,6 +121,7 @@ impl Delivery {
         let mut st = self.state.lock().unpoisoned();
         st.closed = true;
         self.cv.notify_all();
+        self.room.notify_all();
     }
 
     /// Marks `stream` as having lost its every end-point. Queued
@@ -166,6 +185,8 @@ impl Delivery {
         let mut st = self.state.lock().unpoisoned();
         loop {
             if let Some((_, p)) = st.per_stream.get_mut(&stream).and_then(VecDeque::pop_front) {
+                st.queued -= 1;
+                self.room.notify_all();
                 return Ok(p);
             }
             if st.failed.contains(&stream) {
@@ -194,6 +215,8 @@ impl Delivery {
             if let Some((_, sid)) = oldest {
                 let q = st.per_stream.get_mut(&sid).expect("stream just seen");
                 let (_, p) = q.pop_front().expect("front just seen");
+                st.queued -= 1;
+                self.room.notify_all();
                 return Ok(p);
             }
             if st.closed {
@@ -466,6 +489,33 @@ mod tests {
         let (one, two) = (d.stream_stats(1), d.stream_stats(2));
         assert_eq!((one.queued, one.received), (1, 1));
         assert_eq!((two.queued, two.received), (1, 2));
+    }
+
+    /// A deposit into a full bounded mailbox waits until a receive
+    /// makes room, then takes its whole wave; closing releases a
+    /// waiting deposit too.
+    #[test]
+    fn a_full_bounded_mailbox_waits_for_room_or_close() {
+        let d = Arc::new(Delivery::with_capacity(Some(2)));
+        d.push_many([pkt(1, 0), pkt(1, 1)]);
+        let depositor = |wave: [Packet; 2]| {
+            let d = d.clone();
+            std::thread::spawn(move || d.push_many(wave))
+        };
+        let h = depositor([pkt(1, 2), pkt(1, 3)]);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(d.stream_stats(1).queued, 2, "the deposit waited");
+        assert!(d.recv_any(None).is_ok());
+        h.join().unwrap();
+        assert_eq!(d.stream_stats(1).queued, 3, "then took its whole wave");
+        let h = depositor([pkt(1, 4), pkt(1, 5)]);
+        std::thread::sleep(Duration::from_millis(50));
+        d.close();
+        h.join().unwrap();
+        let got: Vec<_> = std::iter::from_fn(|| d.recv_any(None).ok())
+            .map(|p| p.get(0).unwrap().as_i32().unwrap())
+            .collect();
+        assert_eq!(got, [1, 2, 3, 4, 5]);
     }
 
     /// Runs a receive that waits up to 10 s and fails if it returned

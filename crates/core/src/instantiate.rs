@@ -366,10 +366,12 @@ impl NetworkBuilder {
     /// Mode-1 instantiation: create every process in the tree and
     /// return the front-end plus all back-end handles.
     pub fn launch(self) -> Result<Deployment> {
+        // A TCP back-end's mailbox keeps its reader's bound.
+        let cap = (self.transport == WireTransport::Tcp).then_some(mrnet_transport::INBOUND_DEPTH);
         let (pending, edges) = self.launch_tree(false)?;
         let backends = edges
             .into_iter()
-            .map(|(rank, conn)| Backend::new(rank, conn))
+            .map(|(rank, conn)| Backend::new(rank, conn, cap))
             .collect::<Result<_>>()?;
         let network = pending.wait(LAUNCH_TIMEOUT)?;
         Ok(Deployment { network, backends })

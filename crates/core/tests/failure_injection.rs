@@ -97,6 +97,40 @@ fn backend_hears_of_a_sibling_death_while_receiving() {
     dep.network.shutdown();
 }
 
+/// The report of a sibling's death reaches a back-end whose tool
+/// thread never receives: its sink takes the event on delivery.
+#[test]
+fn backend_hears_of_a_sibling_death_without_receiving() {
+    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
+    let dep = launch_local(topo).unwrap();
+    let mut backends = dep.backends;
+    let victim = backends.remove(0);
+    let victim_rank = victim.rank();
+    drop(victim);
+
+    let sibling = &backends[0];
+    let deadline = Instant::now() + TIMEOUT;
+    let event = loop {
+        if let Some(event) = sibling.try_next_event() {
+            break event;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no RankFailed reached the sibling"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(
+        event,
+        TopologyEvent::RankFailed {
+            rank: victim_rank,
+            subtree: vec![victim_rank]
+        }
+    );
+    assert_eq!(sibling.failed_ranks(), vec![victim_rank]);
+    dep.network.shutdown();
+}
+
 /// A transform filter that rejects a wave drops that wave only: the
 /// back-end that sent the bad packet is not severed, no failure event
 /// is raised, and its next well-typed wave aggregates normally.
@@ -376,8 +410,8 @@ fn dropping_network_without_shutdown_releases_everything() {
 
 #[test]
 fn garbage_frames_do_not_poison_the_backend() {
-    // A malformed frame surfaces as an error on that receive, but the
-    // connection and later traffic keep working.
+    // A malformed frame is dropped at delivery and yields no packet;
+    // the connection and later traffic keep working.
     use mrnet_transport::Listener;
     let fabric = mrnet_transport::LocalFabric::new();
     let listener = fabric.listen("leaf");
@@ -394,11 +428,8 @@ fn garbage_frames_do_not_poison_the_backend() {
     server
         .send(Bytes::from_static(&[0xde, 0xad, 0xbe, 0xef]))
         .unwrap();
-    let err = be.recv_timeout(Duration::from_secs(1)).unwrap_err();
-    assert!(matches!(
-        err,
-        MrnetError::Packet(_) | MrnetError::Protocol(_)
-    ));
+    // Delivered in process, so handled before the send returned.
+    assert!(be.recv_timeout(Duration::ZERO).unwrap().is_none());
     // A valid frame afterwards is still delivered.
     let pkt = mrnet::PacketBuilder::new(3, 1).push(42i32).build();
     // The stream must be known first: announce it.

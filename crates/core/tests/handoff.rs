@@ -15,12 +15,15 @@ use mrnet_topology::{generator, HostPool};
 const TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Answers every broadcast with `value` until the network shuts down,
-/// or, with `None`, stays silent.
+/// or, with `None`, stays silent. A back-end's sink takes the broadcast
+/// inside its interior's turn, so each reply waits until that turn has
+/// ended and arrives from the tool thread, as the tests assume.
 fn serve(be: Backend, value: Option<i32>) {
     loop {
         match be.recv_timeout(Duration::from_millis(50)) {
             Ok(Some((_, sid))) => {
                 if let Some(v) = value {
+                    std::thread::sleep(Duration::from_millis(5));
                     be.send(sid, 0, "%d", vec![Value::Int32(v)]).unwrap();
                 }
             }

@@ -266,7 +266,8 @@ fn stream_close_propagates() {
     let be = &backends[0];
     let deadline = std::time::Instant::now() + TIMEOUT;
     loop {
-        // recv_timeout processes inbound control frames.
+        // Paces the loop: the back-end's sink edits its stream table
+        // as the DeleteStream arrives, whether or not it receives.
         let _ = be.recv_timeout(Duration::from_millis(50));
         match be.send(sid, 0, "%d", vec![Value::Int32(1)]) {
             Err(MrnetError::UnknownStream(s)) => {
@@ -891,14 +892,9 @@ fn timeout_wave_is_released_under_steady_traffic() {
                     }
                     let _ = flood_done_tx.send(());
                 }
-                // Everyone else stays silent on both streams.
-                loop {
-                    match be.recv_timeout(Duration::from_millis(50)) {
-                        Ok(_) => {}
-                        Err(MrnetError::Shutdown) => return,
-                        Err(e) => panic!("backend pump failed: {e}"),
-                    }
-                }
+                // Everyone else stays silent on both streams; dropping a
+                // back-end would declare it failed.
+                be
             })
         })
         .collect();

@@ -9,8 +9,7 @@ use std::time::{Duration, Instant};
 use mrnet::obs::metrics::{lookup, MetricKind};
 use mrnet::obs::{trace, tracectx};
 use mrnet::{
-    launch_local, Backend, MetricsExport, MetricsSection, MrnetError, Network, NetworkSnapshot,
-    SyncMode, Value,
+    launch_local, Backend, MetricsExport, MetricsSection, Network, NetworkSnapshot, SyncMode, Value,
 };
 use mrnet_topology::{generator, HostPool};
 
@@ -24,21 +23,10 @@ fn pool() -> HostPool {
 
 const TIMEOUT: Duration = Duration::from_secs(20);
 
-/// Keeps a back-end's connection read until shutdown, so that it
-/// answers introspection requests and clock pings.
-fn pump(be: &Backend) {
-    loop {
-        match be.recv_timeout(Duration::from_millis(100)) {
-            Ok(_) => {}
-            Err(MrnetError::Shutdown) => return,
-            Err(e) => panic!("backend pump failed: {e}"),
-        }
-    }
-}
-
-/// Launches a `balanced(2, 2)` tree, reduces one wave over a `d_sum`
-/// stream to all four back-ends, and leaves their threads pumping.
-fn one_sum_wave() -> (Network, Vec<JoinHandle<()>>) {
+/// Launches a `balanced(2, 2)` tree and reduces one wave over a `d_sum`
+/// stream to all four back-ends, whose threads return them: dropping a
+/// back-end declares its rank failed.
+fn one_sum_wave() -> (Network, Vec<JoinHandle<Backend>>) {
     let dep = launch_local(generator::balanced(2, 2, &mut pool()).unwrap()).unwrap();
     let net = dep.network.clone();
     let dsum = net.registry().id_of("d_sum").unwrap();
@@ -49,7 +37,7 @@ fn one_sum_wave() -> (Network, Vec<JoinHandle<()>>) {
         std::thread::spawn(move || {
             let (_, sid) = be.recv().unwrap();
             be.send(sid, 2, "%d", vec![Value::Int32(3)]).unwrap();
-            pump(&be);
+            be
         })
     });
     let handles = handles.collect();
@@ -87,8 +75,8 @@ fn counters_reconcile_and_introspection_covers_every_node() {
         .send(1, "%d", vec![Value::Int32(WAVES as i32)])
         .unwrap();
 
-    // Back-ends answer the broadcast with WAVES packets each, then keep
-    // pumping their connections so introspection requests get answered.
+    // Back-ends answer the broadcast with WAVES packets each; their
+    // sinks answer introspection requests.
     let handles: Vec<_> = dep
         .backends
         .into_iter()
@@ -98,7 +86,7 @@ fn counters_reconcile_and_introspection_covers_every_node() {
                 for w in 0..WAVES {
                     be.send(sid, 1, "%d", vec![Value::Int32(w as i32)]).unwrap();
                 }
-                pump(&be);
+                be
             })
         })
         .collect();
@@ -352,7 +340,7 @@ fn backend_and_root_byte_counts_agree_on_a_relay_stream() {
                     )
                     .unwrap();
                 }
-                pump(&be);
+                be
             })
         })
         .collect();
@@ -391,9 +379,7 @@ fn exports_list_ranks_in_ascending_order() {
     let _untraced = TRACE_GATE.read();
     let dep = launch_local(generator::balanced(2, 2, &mut pool()).unwrap()).unwrap();
     let net = dep.network.clone();
-    let handles: Vec<JoinHandle<()>> = (dep.backends.into_iter())
-        .map(|be| std::thread::spawn(move || pump(&be)))
-        .collect();
+    let _backends = dep.backends;
     let mut orders = Vec::new();
     for _ in 0..2 {
         let export = net.export_metrics(TIMEOUT).unwrap();
@@ -422,9 +408,20 @@ fn exports_list_ranks_in_ascending_order() {
     }
     assert_eq!(orders[0], orders[1]);
     net.shutdown();
-    for h in handles {
-        h.join().unwrap();
-    }
+}
+
+/// Back-ends answer introspection as the request is delivered: an idle
+/// tree whose back-end threads never receive reports every node.
+#[test]
+fn backends_that_never_receive_answer_introspection() {
+    let _untraced = TRACE_GATE.read();
+    let dep = launch_local(generator::balanced(2, 2, &mut pool()).unwrap()).unwrap();
+    let snap = dep
+        .network
+        .metrics_snapshot(Duration::from_secs(5))
+        .unwrap();
+    assert_eq!(snap.nodes.len(), 7, "ranks seen: {:?}", snap.ranks());
+    dep.network.shutdown();
 }
 
 /// A timeout too long for `Duration` to add the reply's slack to is no
@@ -435,17 +432,12 @@ fn snapshots_with_an_unrepresentable_timeout_wait_without_one() {
     let _untraced = TRACE_GATE.read();
     let dep = launch_local(generator::balanced(2, 1, &mut pool()).unwrap()).unwrap();
     let net = dep.network.clone();
-    let handles: Vec<JoinHandle<()>> = (dep.backends.into_iter())
-        .map(|be| std::thread::spawn(move || pump(&be)))
-        .collect();
+    let _backends = dep.backends;
     let snap = net.metrics_snapshot(Duration::MAX).unwrap();
     assert_eq!(snap.nodes.len(), 3, "the root and both back-ends answered");
     let export = net.export_metrics(Duration::MAX).unwrap();
     assert_eq!(export.snapshot.nodes.len(), 3);
     net.shutdown();
-    for h in handles {
-        h.join().unwrap();
-    }
 }
 
 /// Every name a traced tree reports, in its snapshot and in both export

@@ -14,8 +14,8 @@ use mrnet::internal::process::{Command, FrontEnd, Inbound, NodeLoop, Upstream};
 use mrnet::internal::sched::Inbox;
 use mrnet::proto::{decode_frame, Control, Frame};
 use mrnet::{
-    launch_local, Delivery, FailureLedger, FilterRegistry, MrnetError, PacketBuilder, Rank,
-    StreamDef, StreamId, SyncMode, TraceAssembler, Value,
+    launch_local, Delivery, FailureLedger, FilterRegistry, PacketBuilder, Rank, StreamDef,
+    StreamId, SyncMode, TraceAssembler, Value,
 };
 use mrnet_topology::{generator, HostPool};
 use mrnet_transport::chan::unbounded;
@@ -36,8 +36,8 @@ fn multicast_wave_encodes_once_and_shares_with_siblings() {
     let stream = net.new_stream(&comm, null, SyncMode::DoNotWait).unwrap();
 
     const WAVES: u64 = 5;
-    // Back-ends acknowledge every wave, then keep pumping so the
-    // introspection request gets answered.
+    // Back-ends acknowledge every wave; their sinks answer the
+    // introspection request.
     let handles: Vec<_> = dep
         .backends
         .into_iter()
@@ -47,13 +47,7 @@ fn multicast_wave_encodes_once_and_shares_with_siblings() {
                     let (_, sid) = be.recv().unwrap();
                     be.send(sid, 2, "%d", vec![Value::Int32(1)]).unwrap();
                 }
-                loop {
-                    match be.recv_timeout(Duration::from_millis(100)) {
-                        Ok(_) => {}
-                        Err(MrnetError::Shutdown) => return,
-                        Err(e) => panic!("backend pump failed: {e}"),
-                    }
-                }
+                be
             })
         })
         .collect();
@@ -248,13 +242,7 @@ fn divergent_routes_still_encode_separately() {
         .map(|be| {
             std::thread::spawn(move || {
                 be.recv().unwrap();
-                loop {
-                    match be.recv_timeout(Duration::from_millis(100)) {
-                        Ok(_) => {}
-                        Err(MrnetError::Shutdown) => return,
-                        Err(e) => panic!("backend pump failed: {e}"),
-                    }
-                }
+                be
             })
         })
         .collect();

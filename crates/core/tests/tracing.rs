@@ -104,20 +104,14 @@ fn sampled_waves_assemble_into_causal_timelines_both_directions() {
     let stream = net.new_stream(&comm, fmax, SyncMode::WaitForAll).unwrap();
     stream.send(1, "%d", vec![Value::Int32(7)]).unwrap();
 
-    drive_backends(dep.backends, |be| {
+    // The threads return their back-ends: dropping one declares its
+    // rank failed.
+    let _backends = drive_backends(dep.backends, |be| {
         let (pkt, sid) = be.recv().unwrap();
         assert_eq!(pkt.get(0).unwrap().as_i32(), Some(7));
         be.send(sid, 1, "%f", vec![Value::Float(be.rank() as f32)])
             .unwrap();
-        // Keep pumping briefly so the clock-sync ping exchanges with
-        // this leaf can complete before the handle drops.
-        let deadline = Instant::now() + Duration::from_millis(400);
-        while Instant::now() < deadline {
-            match be.recv_timeout(Duration::from_millis(50)) {
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
+        be
     });
     stream.recv_timeout(TIMEOUT).unwrap();
 
@@ -153,14 +147,15 @@ fn sampled_waves_assemble_into_causal_timelines_both_directions() {
         assert!(h.snapshot().count > 0);
     }
 
-    // The clock handshake resolved the front-end's direct children
-    // (internal nodes stay alive and pong all four exchanges).
+    // The clock handshake resolved every rank below the front-end:
+    // both internal nodes and, through their sinks, all four back-ends.
     let synced = poll_until(TIMEOUT, || {
         let s = assembler.synced_ranks();
-        (s.len() >= 2).then_some(s)
+        (s.len() >= 2 + n_backends).then_some(s)
     })
-    .expect("clock estimates for the internal nodes");
+    .expect("clock estimates for every rank");
     assert!(synced.iter().all(|r| *r != 0));
+    assert!(endpoints.iter().all(|ep| synced.contains(ep)), "{synced:?}");
 
     // Both export renderings carry the trace section.
     let export = net.export_metrics(TIMEOUT).unwrap();
@@ -179,6 +174,32 @@ fn sampled_waves_assemble_into_causal_timelines_both_directions() {
 
     net.shutdown();
     trace::set_enabled(false);
+}
+
+/// Back-ends answer clock pings as they are delivered: on an idle tree
+/// whose back-end threads never receive, the handshake resolves every
+/// rank below the front-end, and each same-host back-end's offset is
+/// within the causality slack.
+#[test]
+fn clock_sync_resolves_backends_that_never_receive() {
+    let topo = generator::balanced(2, 2, &mut pool()).unwrap();
+    let dep = launch_local(topo).unwrap();
+    let net = &dep.network;
+    let assembler = net.trace_assembler();
+    let synced = poll_until(TIMEOUT, || {
+        let s = assembler.synced_ranks();
+        (s.len() == 6).then_some(s)
+    })
+    .expect("clock estimates for all six ranks");
+    for &ep in net.endpoints() {
+        assert!(synced.contains(&ep), "{ep} unsynced: {synced:?}");
+        let offset = assembler.clock_of(ep).offset_us;
+        assert!(
+            offset.unsigned_abs() <= CAUSALITY_SLACK_US,
+            "back-end {ep} offset {offset} µs"
+        );
+    }
+    net.shutdown();
 }
 
 #[test]

@@ -4,10 +4,11 @@
 
 use std::time::Duration;
 
-use mrnet::NetworkBuilder;
+use mrnet::{NetworkBuilder, SyncMode, Value};
 use mrnet_topology::{generator, HostPool};
 use paradyn::{
-    app::Executable, mdl, paradyn_registry, run_sampling, run_startup, Activity, Daemon,
+    app::Executable, mdl, paradyn_registry, proto::tags, run_sampling, run_startup, Activity,
+    Daemon,
 };
 
 fn launch_tool(
@@ -173,4 +174,41 @@ fn sampling_aggregates_sum_across_daemons() {
     for d in daemons {
         let _ = d.join().unwrap();
     }
+}
+
+/// A sampling daemon polls for `STOP_SAMPLING` between samples with a
+/// zero-timeout receive, and stops within 2 s of one sent on its
+/// metric stream, long before its 30 s budget runs out.
+#[test]
+fn sampling_stops_soon_after_stop_sampling() {
+    let topo = generator::flat(1, &mut HostPool::synthetic(4)).unwrap();
+    let dep = NetworkBuilder::new(topo)
+        .registry(paradyn_registry())
+        .launch()
+        .unwrap();
+    let net = dep.network.clone();
+    let be = dep.backends.into_iter().next().unwrap();
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let h = std::thread::spawn(move || {
+        let daemon = Daemon::new(be, Executable::synthetic("tiny", 10, 2, 0), "h0", 0);
+        let _ = done_tx.send(daemon.serve_sampling(1, 5.0, Duration::from_secs(30)));
+    });
+    let comm = net.broadcast_communicator();
+    let null = net.registry().id_of("null").unwrap();
+    let stream = net.new_stream(&comm, null, SyncMode::DoNotWait).unwrap();
+    stream
+        .send(tags::SAMPLE_DATA, "%ud", vec![Value::UInt32(0)])
+        .unwrap();
+    // The first sample: the daemon is in its sampling loop.
+    stream.recv_timeout(Duration::from_secs(10)).unwrap();
+    stream
+        .send(tags::STOP_SAMPLING, "%ud", vec![Value::UInt32(0)])
+        .unwrap();
+    let sent = done
+        .recv_timeout(Duration::from_secs(2))
+        .expect("sampling did not stop within 2 s")
+        .unwrap();
+    assert!(sent >= 1);
+    h.join().unwrap();
+    net.shutdown();
 }

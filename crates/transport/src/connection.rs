@@ -129,8 +129,10 @@ pub enum Took {
 ///
 /// Every method runs on the thread that produced the frame (the sending
 /// thread for the in-process transport, the reader thread for TCP),
-/// with the connection's receive lock held. A sink must therefore
-/// never block and never call back into the connection.
+/// with the connection's receive lock held. A sink therefore never
+/// touches its connection's receive half, nor drops its last handle.
+/// It may send, and it may wait only on a TCP reader thread, where
+/// waiting is the transport's backpressure.
 pub trait FrameSink: Send {
     /// Takes one frame. Returns false once the receiver is gone; the
     /// connection then stops delivering.

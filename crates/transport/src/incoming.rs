@@ -7,9 +7,10 @@
 //! straight to the sink.
 //!
 //! Lock order: a sink is only ever called with this queue's lock held,
-//! and it may take its receiver's lock (the node inbox). So the order
-//! is connection lock, then inbox lock, never the reverse. A sink never
-//! blocks, so a producer holding this lock always finishes.
+//! and it may take its receiver's lock (a node inbox, a back-end
+//! mailbox). So the order is connection lock, then receiver lock, never
+//! the reverse. A sink waits only on a TCP reader (a back-end's full
+//! mailbox, emptied without this lock), so a producer always finishes.
 //!
 //! Its condvar is a [`CountedCondvar`], so a push or a take notifies
 //! only while a receiver (empty queue) or a producer (full queue) is

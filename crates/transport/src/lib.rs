@@ -26,4 +26,5 @@ pub use connection::{
 pub use error::{Result, TransportError};
 pub use local::{LocalConnection, LocalFabric, LocalListener};
 pub use retry::{RetryPolicy, CONNECT_RETRIES_ENV};
+pub use tcp::INBOUND_DEPTH;
 pub use tcp::{TcpConnection, TcpTransportListener, HEARTBEAT_ENV, MAX_FRAME, SEND_QUEUE_ENV};

@@ -6,8 +6,9 @@
 //! length followed by that many payload bytes. A reader thread per
 //! connection reads whole frames off the socket. Until a
 //! [`crate::FrameSink`] is installed it queues them (at most
-//! `INBOUND_DEPTH`, then the socket pushes back) for `recv`; once one
-//! is, the reader hands each frame straight to the sink.
+//! [`INBOUND_DEPTH`], then the socket pushes back) for `recv`; once one
+//! is, the reader hands each frame straight to the sink, and a
+//! back-end's sink keeps the bound (its mailbox holds as many packets).
 //!
 //! # Send pipeline
 //!
@@ -69,7 +70,7 @@ const HEARTBEAT_MISSES: u32 = 3;
 
 /// How many inbound frames may queue, while no sink is installed,
 /// before the reader thread applies back-pressure to the socket.
-const INBOUND_DEPTH: usize = 1024;
+pub const INBOUND_DEPTH: usize = 1024;
 
 /// Environment variable overriding the outbound send-queue depth in
 /// frames (default 1024). A blocking send only stalls
