@@ -156,10 +156,11 @@ impl Backend {
     }
 
     /// Sends values upstream on `stream` (Figure 2's
-    /// `stream->send("%f", value)`).
+    /// `stream->send("%f", value)`). The packet is made once:
+    /// [`Backend::send_packet`] sets this back-end's rank on it in
+    /// place.
     pub fn send(&self, stream: StreamId, tag: i32, fmt: &str, values: Vec<Value>) -> Result<()> {
-        let packet = Packet::with_fmt_str(stream, tag, fmt, values)?.with_src(self.rank());
-        self.send_packet(packet)
+        self.send_packet(Packet::with_fmt_str(stream, tag, fmt, values)?)
     }
 
     /// Sends a pre-built packet upstream. Besides the connection's

@@ -1,6 +1,7 @@
 //! The packet mailbox of the front-end and of every back-end.
 //!
-//! The root node loop, or a back-end's sink, pushes packets here; user
+//! The root node loop, or a back-end's sink, deposits packets here
+//! with [`Delivery::push_many`], a frame's worth at a time; user
 //! threads block in [`Delivery::recv_on`] (per-stream receive, the
 //! paper's `stream->recv`) or [`Delivery::recv_any`] (stream-anonymous
 //! receive). Supports multiple concurrent receivers via condvar
@@ -77,11 +78,6 @@ impl Delivery {
             cap,
             ..Delivery::default()
         }
-    }
-
-    /// Deposits a packet (called by the root node loop).
-    pub fn push(&self, packet: Packet) {
-        self.push_many([packet]);
     }
 
     /// Deposits a whole wave of packets under one lock acquisition and
@@ -242,9 +238,9 @@ mod tests {
     #[test]
     fn per_stream_fifo() {
         let d = Delivery::new();
-        d.push(pkt(1, 10));
-        d.push(pkt(1, 11));
-        d.push(pkt(2, 20));
+        d.push_many([pkt(1, 10)]);
+        d.push_many([pkt(1, 11)]);
+        d.push_many([pkt(2, 20)]);
         assert_eq!(
             d.recv_on(1, None).unwrap().get(0).unwrap().as_i32(),
             Some(10)
@@ -297,8 +293,8 @@ mod tests {
     #[test]
     fn any_receives_in_arrival_order() {
         let d = Delivery::new();
-        d.push(pkt(2, 20));
-        d.push(pkt(1, 10));
+        d.push_many([pkt(2, 20)]);
+        d.push_many([pkt(1, 10)]);
         assert_eq!(d.recv_any(None).unwrap().stream_id(), 2);
         assert_eq!(d.recv_any(None).unwrap().stream_id(), 1);
     }
@@ -306,8 +302,8 @@ mod tests {
     #[test]
     fn any_skips_entries_taken_by_stream_recv() {
         let d = Delivery::new();
-        d.push(pkt(1, 10));
-        d.push(pkt(2, 20));
+        d.push_many([pkt(1, 10)]);
+        d.push_many([pkt(2, 20)]);
         assert_eq!(
             d.recv_on(1, None).unwrap().get(0).unwrap().as_i32(),
             Some(10)
@@ -321,7 +317,7 @@ mod tests {
         let d = Delivery::new();
         const N: i32 = 1000;
         for v in 0..N {
-            d.push(pkt(1, v));
+            d.push_many([pkt(1, v)]);
         }
         assert_eq!(d.stream_stats(1).queued, N as usize);
         for v in 0..N {
@@ -381,7 +377,7 @@ mod tests {
     #[test]
     fn drain_after_close() {
         let d = Delivery::new();
-        d.push(pkt(1, 5));
+        d.push_many([pkt(1, 5)]);
         d.close();
         assert!(d.recv_on(1, None).is_ok());
         assert_eq!(d.recv_on(1, None), Err(MrnetError::Shutdown));
@@ -393,7 +389,7 @@ mod tests {
         let d2 = d.clone();
         let h = std::thread::spawn(move || d2.recv_any(Some(Duration::from_secs(5))));
         std::thread::sleep(Duration::from_millis(20));
-        d.push(pkt(3, 1));
+        d.push_many([pkt(3, 1)]);
         let got = h.join().unwrap().unwrap();
         assert_eq!(got.stream_id(), 3);
     }
@@ -402,8 +398,8 @@ mod tests {
     fn pending_count() {
         let d = Delivery::new();
         assert_eq!(d.stream_stats(1).queued, 0);
-        d.push(pkt(1, 0));
-        d.push(pkt(1, 1));
+        d.push_many([pkt(1, 0)]);
+        d.push_many([pkt(1, 1)]);
         assert_eq!(d.stream_stats(1).queued, 2);
     }
 
@@ -411,8 +407,8 @@ mod tests {
     fn received_counter_survives_consumption() {
         let d = Delivery::new();
         assert_eq!(d.stream_stats(1).received, 0);
-        d.push(pkt(1, 0));
-        d.push(pkt(1, 1));
+        d.push_many([pkt(1, 0)]);
+        d.push_many([pkt(1, 1)]);
         d.recv_on(1, None).unwrap();
         assert_eq!(d.stream_stats(1).received, 2);
         assert_eq!(d.stream_stats(1).queued, 1);
@@ -424,7 +420,7 @@ mod tests {
         let d = Delivery::new();
         // Never-seen stream: all-default, not merely "empty".
         assert_eq!(d.stream_stats(7), DeliveryStreamStats::default());
-        d.push(pkt(7, 0));
+        d.push_many([pkt(7, 0)]);
         let st = d.stream_stats(7);
         assert!(st.seen);
         assert_eq!(st.queued, 1);
@@ -441,7 +437,7 @@ mod tests {
     #[test]
     fn stream_stats_report_pending_after_close() {
         let d = Delivery::new();
-        d.push(pkt(3, 1));
+        d.push_many([pkt(3, 1)]);
         d.close();
         let st = d.stream_stats(3);
         assert!(st.closed);
@@ -458,14 +454,14 @@ mod tests {
     #[test]
     fn failed_stream_drains_then_errors() {
         let d = Delivery::new();
-        d.push(pkt(1, 5));
+        d.push_many([pkt(1, 5)]);
         d.fail_stream(1);
         // The survivor-produced packet is still receivable...
         assert!(d.recv_on(1, None).is_ok());
         // ...then the failure surfaces, distinct from Shutdown/Timeout.
         assert_eq!(d.recv_on(1, None), Err(MrnetError::AllEndpointsFailed));
         // Other streams are unaffected.
-        d.push(pkt(2, 1));
+        d.push_many([pkt(2, 1)]);
         assert!(d.recv_on(2, None).is_ok());
     }
 
@@ -482,9 +478,9 @@ mod tests {
     #[test]
     fn stream_stats_count_each_stream_apart() {
         let d = Delivery::new();
-        d.push(pkt(1, 0));
-        d.push(pkt(2, 0));
-        d.push(pkt(2, 1));
+        d.push_many([pkt(1, 0)]);
+        d.push_many([pkt(2, 0)]);
+        d.push_many([pkt(2, 1)]);
         d.recv_on(2, None).unwrap();
         let (one, two) = (d.stream_stats(1), d.stream_stats(2));
         assert_eq!((one.queued, one.received), (1, 1));
@@ -542,7 +538,7 @@ mod tests {
             std::thread::spawn(move || {
                 for sid in [1, 2] {
                     std::thread::sleep(Duration::from_millis(50));
-                    d.push(pkt(sid, 7));
+                    d.push_many([pkt(sid, 7)]);
                 }
             })
         };
@@ -574,7 +570,8 @@ mod tests {
                         let end = (i + i % 7 + 1).min(PER_PRODUCER);
                         while i < end {
                             let last = i32::from(i + 1 == end);
-                            d.push(PacketBuilder::new(1, p as i32).push(i).push(last).build());
+                            let packet = PacketBuilder::new(1, p as i32).push(i).push(last).build();
+                            d.push_many([packet]);
                             i += 1;
                         }
                         woken_by_send(|t| ack_rx.recv_timeout(t).ok()).expect("ack");

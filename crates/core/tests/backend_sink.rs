@@ -1,14 +1,18 @@
 //! A back-end's sink over both transports: the bound on a TCP
 //! back-end's mailbox, and a `Backend` dropped while its parent is
-//! still sending data and control to it.
+//! still sending data and control to it. Also what its typed send
+//! puts on the edge.
 
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mrnet::proto::{encode_data_frame, Control};
-use mrnet::{introspect, Backend, PacketBuilder, Rank, StreamDef, StreamId, SyncMode, Value};
+use mrnet::proto::{decode_frame, encode_data_frame, Control, Frame};
+use mrnet::{
+    introspect, Backend, MrnetError, PacketBuilder, Rank, StreamDef, StreamId, SyncMode, Value,
+};
 use mrnet_packet::bytes::Bytes;
+use mrnet_packet::PacketError;
 use mrnet_transport::{
     BoxedConnection, FrameSink, Listener, LocalFabric, TcpTransportListener, INBOUND_DEPTH,
 };
@@ -112,6 +116,40 @@ fn a_tcp_backend_that_never_receives_holds_a_bounded_mailbox() {
     }
     assert_eq!(taken(), FRAMES as u64);
     let _parent = sender.join().unwrap();
+}
+
+/// `Backend::send` checks the values against the format before
+/// anything goes upstream, and the packet that does go carries the
+/// back-end's rank as its source.
+#[test]
+fn send_rejects_a_mismatch_and_stamps_the_rank() {
+    let (be, parent) = attached(Wire::Local);
+    let err = be.send(SID, 1, "%d", vec![Value::Float(1.5)]).unwrap_err();
+    assert!(
+        matches!(err, MrnetError::Packet(PacketError::TypeMismatch { .. })),
+        "{err}"
+    );
+    let err = be.send(SID, 1, "%d %d", vec![Value::Int32(1)]).unwrap_err();
+    assert!(
+        matches!(err, MrnetError::Packet(PacketError::ArityMismatch { .. })),
+        "{err}"
+    );
+    assert_eq!(be.metrics().up_pkts_sent.get(), 0);
+    be.send(SID, 2, "%d", vec![Value::Int32(42)]).unwrap();
+    let packets = loop {
+        let frame = parent.recv_timeout(TIMEOUT).unwrap().expect("a frame");
+        match decode_frame(frame).unwrap() {
+            Frame::Data(packets) | Frame::Traced(packets, _) => break packets,
+            Frame::Control(_) => continue,
+        }
+    };
+    assert_eq!(packets.len(), 1, "only the good send goes upstream");
+    let p = &packets[0];
+    assert_eq!(
+        (p.stream_id(), p.tag(), p.src(), p.values()),
+        (SID, 2, RANK, &[Value::Int32(42)][..])
+    );
+    assert_eq!(be.metrics().up_pkts_sent.get(), 1);
 }
 
 /// Runs `f` on a thread of its own and fails if it takes longer than

@@ -57,10 +57,11 @@ pub trait Transform: Send {
 /// A boxed transformation filter.
 pub type BoxedTransform = Box<dyn Transform>;
 
-/// Checks every input against the filter's required format.
+/// Checks every input against the filter's required format. A match
+/// builds no format; only the error names the one received.
 pub fn check_wave_format(fmt: &FormatString, inputs: &[Packet]) -> Result<()> {
     for p in inputs {
-        if p.fmt() != fmt {
+        if fmt.check(p.values()).is_err() {
             return Err(FilterError::FormatMismatch {
                 expected: fmt.to_string(),
                 actual: p.fmt().to_string(),
@@ -186,6 +187,28 @@ mod tests {
         ];
         let err = check_wave_format(&fmt, &wave).expect_err("mixed wave");
         assert!(matches!(err, FilterError::FormatMismatch { .. }));
+    }
+
+    #[test]
+    fn format_mismatch_names_both_formats() {
+        let fmt = FormatString::parse("%d %lf").unwrap();
+        let ok = PacketBuilder::new(0, 0).push(1i32).push(2.0f64).build();
+        let short = PacketBuilder::new(0, 0).push(1i32).build();
+        let swapped = PacketBuilder::new(0, 0).push(2.0f64).push(1i32).build();
+        check_wave_format(&fmt, std::slice::from_ref(&ok)).unwrap();
+        let msg = |p: &Packet| {
+            check_wave_format(&fmt, &[ok.clone(), p.clone()])
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            msg(&short),
+            "filter expects packets of format `%d %lf` but received `%d`"
+        );
+        assert_eq!(
+            msg(&swapped),
+            "filter expects packets of format `%d %lf` but received `%lf %d`"
+        );
     }
 
     #[test]

@@ -21,8 +21,7 @@ use std::sync::OnceLock;
 
 use crate::bytes::{Bytes, BytesMut, Reader};
 use crate::error::{PacketError, Result};
-use crate::format::FormatString;
-use crate::packet::{Decoded, Packet};
+use crate::packet::{Packet, Values};
 use crate::value::{TypeCode, Value};
 
 /// Byte length of a packet's fixed wire header:
@@ -220,7 +219,7 @@ fn array<const BUILD: bool, const N: usize, T>(
 fn walk_value<const BUILD: bool>(
     r: &mut Reader<'_>,
     limits: &DecodeLimits,
-    values: &mut Vec<Value>,
+    values: &mut Values,
 ) -> Result<()> {
     let [tag] = r.get("value tag")?;
     let value = match TypeCode::from_tag(tag)? {
@@ -280,24 +279,20 @@ fn walk_value<const BUILD: bool>(
 
 /// Walks one packet: its header, then its `arity` values with
 /// [`walk_value`]. Returns the header fields and, in build mode, the
-/// decoded payload; skip mode allocates nothing.
+/// decoded values; skip mode allocates nothing.
 fn walk_packet<const BUILD: bool>(
     r: &mut Reader<'_>,
     limits: &DecodeLimits,
-) -> Result<(u32, i32, u32, Option<Decoded>)> {
+) -> Result<(u32, i32, u32, Option<Values>)> {
     let stream_id = u32::from_le_bytes(r.get("packet header")?);
     let tag = i32::from_le_bytes(r.get("packet header")?);
     let src = u32::from_le_bytes(r.get("packet header")?);
     let arity = usize::from(u16::from_le_bytes(r.get("packet header")?));
-    let mut values = Vec::with_capacity(if BUILD { arity } else { 0 });
+    let mut values = Values::with_capacity(if BUILD { arity } else { 0 });
     for _ in 0..arity {
         walk_value::<BUILD>(r, limits, &mut values)?;
     }
-    let decoded = BUILD.then(|| Decoded {
-        fmt: FormatString::from_codes(values.iter().map(Value::type_code).collect::<Vec<_>>()),
-        values,
-    });
-    Ok((stream_id, tag, src, decoded))
+    Ok((stream_id, tag, src, BUILD.then_some(values)))
 }
 
 /// Validates the structure of the packet at offset `start` of `data`:
@@ -320,18 +315,16 @@ pub(crate) fn validate_packet_at(
     Ok((stream_id, tag, src, r.pos()))
 }
 
-/// Materializes the typed payload of a pre-validated wire packet.
-/// The `FormatString` is derived from the decoded value tags exactly
-/// once, here, and cached in the packet with the values.
-pub(crate) fn decode_payload_validated(wire: &Bytes) -> Decoded {
+/// Materializes the typed values of a pre-validated wire packet.
+pub(crate) fn decode_payload_validated(wire: &Bytes) -> Values {
     // Structure and limits were enforced by `validate_packet_at` before
     // the lazy packet was built, so decoding is infallible and ingress
     // limits must not be re-applied (they may have tightened via the
     // env since).
     let permissive = DecodeLimits::with_max(u64::MAX);
-    let (.., decoded) = walk_packet::<true>(&mut Reader::new(wire), &permissive)
+    let (.., values) = walk_packet::<true>(&mut Reader::new(wire), &permissive)
         .expect("wire was validated at decode");
-    decoded.expect("build mode decodes")
+    values.expect("build mode decodes")
 }
 
 /// Appends the wire form of `packet` to `buf`. A packet that still
@@ -366,12 +359,12 @@ pub fn encode_packet(packet: &Packet) -> Bytes {
 
 /// Decodes the packet at `r`, leaving `r` one past its last byte.
 pub fn decode_packet_from(r: &mut Reader<'_>, limits: &DecodeLimits) -> Result<Packet> {
-    let (stream_id, tag, src, decoded) = walk_packet::<true>(r, limits)?;
-    Ok(Packet::from_decoded(
+    let (stream_id, tag, src, values) = walk_packet::<true>(r, limits)?;
+    Ok(Packet::from_values(
         stream_id,
         tag,
         src,
-        decoded.expect("build mode decodes"),
+        values.expect("build mode decodes"),
     ))
 }
 
@@ -574,18 +567,18 @@ mod tests {
     }
 
     #[test]
-    fn format_string_is_derived_once_and_cached() {
+    fn payload_is_materialized_once_and_cached() {
         let p = full_packet();
         let batch = crate::batch::encode_batch(std::slice::from_ref(&p));
         let lazy = crate::batch::decode_batch_lazy(batch).unwrap().remove(0);
-        // Repeated access must hand back the same cached FormatString,
-        // not re-derive it from the value tags each time.
-        let first: *const FormatString = lazy.fmt();
-        let second: *const FormatString = lazy.fmt();
+        // Repeated access must hand back the same cached values, not
+        // decode the wire bytes again each time.
+        let first = lazy.values().as_ptr();
+        let second = lazy.values().as_ptr();
         assert_eq!(first, second);
         assert_eq!(lazy.fmt(), p.fmt());
         // Same guarantee through a cloned handle.
-        let third: *const FormatString = lazy.clone().fmt();
+        let third = lazy.clone().values().as_ptr();
         assert_eq!(first, third);
     }
 

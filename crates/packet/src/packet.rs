@@ -15,16 +15,23 @@
 //! ## Lazy payloads
 //!
 //! A packet decoded from the wire keeps its payload as the raw wire
-//! bytes; the typed `FormatString` + `Vec<Value>` form is materialized
-//! at most once, on first access ([`Packet::fmt`], [`Packet::values`],
-//! `unpack`, …). A commnode that only relays a packet never touches
-//! the payload, so the decode (and the re-encode: see
-//! [`crate::encode_packet`]'s raw fast path) is skipped entirely. The
-//! wire form is structurally validated *before* a lazy packet is
-//! built, so materialization cannot fail and hostile frames are still
-//! rejected at the network boundary.
+//! bytes; the typed values are materialized at most once, on first
+//! access ([`Packet::values`], [`Packet::get`], `unpack`, …). A
+//! commnode that only relays a packet never touches the payload, so
+//! the decode (and the re-encode: see [`crate::encode_packet`]'s raw
+//! fast path) is skipped entirely. The wire form is structurally
+//! validated *before* a lazy packet is built, so materialization cannot
+//! fail and hostile frames are still rejected at the network boundary.
+//!
+//! A typed payload is its values only: the format is determined by
+//! them ([`Value::type_code`]), so [`Packet::fmt`] derives it on each
+//! call. A single value is held inline, so a one-value packet costs one
+//! allocation when built (its shared interior) and one more when a
+//! lazy one is first read (the boxed cache), besides what the value
+//! itself owns.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use crate::bytes::Bytes;
@@ -43,26 +50,74 @@ pub type Rank = u32;
 /// Application-defined message tag.
 pub type Tag = i32;
 
-/// A materialized payload: the format string and the typed values,
-/// built together at most once per packet.
-#[derive(Debug, PartialEq)]
-pub(crate) struct Decoded {
-    pub(crate) fmt: FormatString,
-    pub(crate) values: Vec<Value>,
+/// A typed payload: one value held inline, or any other count in a
+/// `Vec`. Derefs to the values in order; which variant holds them does
+/// not change what they are.
+#[derive(Debug, Clone)]
+pub(crate) enum Values {
+    One(Value),
+    Many(Vec<Value>),
+}
+
+impl Values {
+    /// An empty payload that will not allocate for its first value and
+    /// reserves `n` slots up front when more than one is coming.
+    pub(crate) fn with_capacity(n: usize) -> Values {
+        Values::Many(Vec::with_capacity(if n > 1 { n } else { 0 }))
+    }
+
+    /// Appends a value: the first into an unreserved payload goes
+    /// inline, the second moves both into a `Vec`.
+    pub(crate) fn push(&mut self, value: Value) {
+        *self = match std::mem::take(self) {
+            Values::Many(vs) if vs.capacity() == 0 => Values::One(value),
+            Values::Many(mut vs) => {
+                vs.push(value);
+                Values::Many(vs)
+            }
+            Values::One(first) => Values::Many(vec![first, value]),
+        };
+    }
+}
+
+impl Default for Values {
+    fn default() -> Values {
+        Values::Many(Vec::new())
+    }
+}
+
+impl Deref for Values {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match self {
+            Values::One(v) => std::slice::from_ref(v),
+            Values::Many(vs) => vs,
+        }
+    }
+}
+
+impl From<Vec<Value>> for Values {
+    fn from(vs: Vec<Value>) -> Values {
+        match <[Value; 1]>::try_from(vs) {
+            Ok([v]) => Values::One(v),
+            Err(vs) => Values::Many(vs),
+        }
+    }
 }
 
 /// How a packet stores its payload.
 #[derive(Debug)]
 enum PayloadRepr {
     /// Constructed in this process: the typed form is the only form.
-    Eager(Decoded),
+    Eager(Values),
     /// Decoded from the wire: the raw bytes are authoritative and the
     /// typed form is materialized on demand. `wire` is the packet's
     /// full, structurally validated wire form (header included). The
     /// cache is boxed so a packet that is only relayed stays small.
     Raw {
         wire: Bytes,
-        cache: OnceLock<Box<Decoded>>,
+        cache: OnceLock<Box<Values>>,
     },
 }
 
@@ -78,9 +133,9 @@ struct PacketInner {
 impl PacketInner {
     /// The typed payload, materializing (and caching) it if this is
     /// the first access to a wire-decoded packet.
-    fn decoded(&self) -> &Decoded {
+    fn values(&self) -> &Values {
         match &self.payload {
-            PayloadRepr::Eager(d) => d,
+            PayloadRepr::Eager(vs) => vs,
             PayloadRepr::Raw { wire, cache } => {
                 cache.get_or_init(|| Box::new(codec::decode_payload_validated(wire)))
             }
@@ -95,7 +150,8 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Creates a packet, validating `values` against `fmt`.
+    /// Creates a packet, validating `values` against `fmt`. The
+    /// packet keeps the values only; its format is derived from them.
     pub fn new(
         stream_id: StreamId,
         tag: Tag,
@@ -103,28 +159,17 @@ impl Packet {
         values: Vec<Value>,
     ) -> Result<Packet> {
         fmt.check(&values)?;
-        Ok(Packet::from_decoded(
-            stream_id,
-            tag,
-            0,
-            Decoded { fmt, values },
-        ))
+        Ok(Packet::from_values(stream_id, tag, 0, values.into()))
     }
 
-    /// Builds a packet around a typed payload whose format is known to
-    /// match its values.
-    pub(crate) fn from_decoded(
-        stream_id: StreamId,
-        tag: Tag,
-        src: Rank,
-        decoded: Decoded,
-    ) -> Packet {
+    /// Builds a packet around a typed payload.
+    pub(crate) fn from_values(stream_id: StreamId, tag: Tag, src: Rank, values: Values) -> Packet {
         Packet {
             inner: Arc::new(PacketInner {
                 stream_id,
                 tag,
                 src,
-                payload: PayloadRepr::Eager(decoded),
+                payload: PayloadRepr::Eager(values),
             }),
         }
     }
@@ -143,8 +188,7 @@ impl Packet {
 
     /// Creates a payload-free control packet.
     pub fn control(stream_id: StreamId, tag: Tag) -> Packet {
-        Packet::new(stream_id, tag, FormatString::default(), Vec::new())
-            .expect("empty payload always matches empty format")
+        Packet::from_values(stream_id, tag, 0, Values::default())
     }
 
     /// Builds a packet around a structurally validated wire form
@@ -172,10 +216,10 @@ impl Packet {
 
     /// Returns a copy of this packet with the originating rank set.
     ///
-    /// If this handle is the sole owner the interior is reused without
-    /// copying the payload. Changing the rank of a wire-decoded packet
-    /// materializes its payload (the raw bytes would carry the stale
-    /// rank).
+    /// If this handle is the sole owner the interior is edited in
+    /// place, with no allocation and no copy of the payload. Changing
+    /// the rank of a wire-decoded packet materializes its payload (the
+    /// raw bytes would carry the stale rank).
     pub fn with_src(self, src: Rank) -> Packet {
         if self.inner.src == src {
             return self;
@@ -196,32 +240,25 @@ impl Packet {
 
     /// Clones-on-write the interior with a header edit applied,
     /// converting any raw payload to its typed form first so the raw
-    /// bytes never disagree with the header.
-    fn rebuild(self, edit: impl FnOnce(&mut PacketInner)) -> Packet {
-        let mut inner = match Arc::try_unwrap(self.inner) {
-            Ok(inner) => PacketInner {
-                stream_id: inner.stream_id,
-                tag: inner.tag,
-                src: inner.src,
-                payload: PayloadRepr::Eager(match inner.payload {
-                    PayloadRepr::Eager(d) => d,
-                    PayloadRepr::Raw { wire, cache } => cache
-                        .into_inner()
-                        .map_or_else(|| codec::decode_payload_validated(&wire), |d| *d),
-                }),
-            },
-            Err(shared) => {
-                let d = shared.decoded();
-                PacketInner {
-                    stream_id: shared.stream_id,
-                    tag: shared.tag,
-                    src: shared.src,
-                    payload: PayloadRepr::Eager(Decoded {
-                        fmt: d.fmt.clone(),
-                        values: d.values.clone(),
-                    }),
-                }
+    /// bytes never disagree with the header. A sole owner's interior
+    /// is edited in place.
+    fn rebuild(mut self, edit: impl FnOnce(&mut PacketInner)) -> Packet {
+        if let Some(inner) = Arc::get_mut(&mut self.inner) {
+            if let PayloadRepr::Raw { wire, cache } = &mut inner.payload {
+                let values = cache
+                    .take()
+                    .map_or_else(|| codec::decode_payload_validated(wire), |vs| *vs);
+                inner.payload = PayloadRepr::Eager(values);
             }
+            edit(inner);
+            return self;
+        }
+        let shared = &*self.inner;
+        let mut inner = PacketInner {
+            stream_id: shared.stream_id,
+            tag: shared.tag,
+            src: shared.src,
+            payload: PayloadRepr::Eager(shared.values().clone()),
         };
         edit(&mut inner);
         Packet {
@@ -244,27 +281,31 @@ impl Packet {
         self.inner.src
     }
 
-    /// The payload's format string (materializes a lazy payload).
-    pub fn fmt(&self) -> &FormatString {
-        &self.inner.decoded().fmt
+    /// The payload's format string, derived from the values' types on
+    /// each call (materializes a lazy payload). To check a packet
+    /// against a known format without building one, use
+    /// `fmt.check(packet.values())`.
+    pub fn fmt(&self) -> FormatString {
+        let codes: Vec<_> = self.values().iter().map(Value::type_code).collect();
+        FormatString::from_codes(codes)
     }
 
     /// The payload values (materializes a lazy payload).
     pub fn values(&self) -> &[Value] {
-        &self.inner.decoded().values
+        self.inner.values()
     }
 
     /// The value at position `i`, if present (materializes a lazy
     /// payload).
     pub fn get(&self, i: usize) -> Option<&Value> {
-        self.inner.decoded().values.get(i)
+        self.values().get(i)
     }
 
     /// Number of payload values, read from the wire header for a raw
     /// packet — this never materializes the payload.
     pub fn arity(&self) -> usize {
         match &self.inner.payload {
-            PayloadRepr::Eager(d) => d.values.len(),
+            PayloadRepr::Eager(vs) => vs.len(),
             PayloadRepr::Raw { wire, .. } => {
                 u16::from_le_bytes([wire[PACKET_HEADER_LEN - 2], wire[PACKET_HEADER_LEN - 1]])
                     as usize
@@ -273,7 +314,7 @@ impl Packet {
     }
 
     /// True while this packet's payload is still raw wire bytes —
-    /// nothing has forced the `FormatString` + `Values` form yet.
+    /// nothing has forced the typed values yet.
     /// Relay-only nodes keep this true end to end.
     pub fn is_lazy(&self) -> bool {
         matches!(&self.inner.payload, PayloadRepr::Raw { cache, .. } if cache.get().is_none())
@@ -297,12 +338,8 @@ impl Packet {
     pub fn encoded_size_hint(&self) -> usize {
         match &self.inner.payload {
             PayloadRepr::Raw { wire, .. } => wire.len(),
-            PayloadRepr::Eager(d) => {
-                PACKET_HEADER_LEN
-                    + d.values
-                        .iter()
-                        .map(|v| 1 + v.encoded_size_hint())
-                        .sum::<usize>()
+            PayloadRepr::Eager(vs) => {
+                PACKET_HEADER_LEN + vs.iter().map(|v| 1 + v.encoded_size_hint()).sum::<usize>()
             }
         }
     }
@@ -324,7 +361,7 @@ impl PartialEq for Packet {
         self.inner.stream_id == other.inner.stream_id
             && self.inner.tag == other.inner.tag
             && self.inner.src == other.inner.src
-            && self.inner.decoded() == other.inner.decoded()
+            && self.values() == other.values()
     }
 }
 
@@ -340,18 +377,15 @@ impl fmt::Display for Packet {
                 self.arity(),
                 wire.len(),
             ),
-            _ => {
-                let d = self.inner.decoded();
-                write!(
-                    f,
-                    "Packet{{stream={}, tag={}, src={}, fmt=\"{}\", {} value(s)}}",
-                    self.inner.stream_id,
-                    self.inner.tag,
-                    self.inner.src,
-                    d.fmt,
-                    d.values.len()
-                )
-            }
+            _ => write!(
+                f,
+                "Packet{{stream={}, tag={}, src={}, fmt=\"{}\", {} value(s)}}",
+                self.inner.stream_id,
+                self.inner.tag,
+                self.inner.src,
+                self.fmt(),
+                self.values().len()
+            ),
         }
     }
 }
@@ -373,7 +407,7 @@ pub struct PacketBuilder {
     stream_id: StreamId,
     tag: Tag,
     src: Rank,
-    values: Vec<Value>,
+    values: Values,
 }
 
 impl PacketBuilder {
@@ -383,7 +417,7 @@ impl PacketBuilder {
             stream_id,
             tag,
             src: 0,
-            values: Vec::new(),
+            values: Values::default(),
         }
     }
 
@@ -401,24 +435,14 @@ impl PacketBuilder {
 
     /// Finalizes the packet. The format is derived, so this cannot fail.
     pub fn build(self) -> Packet {
-        let codes: Vec<_> = self.values.iter().map(Value::type_code).collect();
-        let fmt = FormatString::from_codes(codes);
-        Packet::from_decoded(
-            self.stream_id,
-            self.tag,
-            self.src,
-            Decoded {
-                fmt,
-                values: self.values,
-            },
-        )
+        Packet::from_values(self.stream_id, self.tag, self.src, self.values)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_packet;
+    use crate::codec::{decode_packet, encode_packet};
     use crate::error::PacketError;
 
     fn sample() -> Packet {
@@ -437,10 +461,150 @@ mod tests {
             .remove(0)
     }
 
+    /// One value per conversion specifier, each with the text that
+    /// parses to its type; `%u` and `%lu` are the aliases.
+    fn every_specifier() -> Vec<(&'static str, Value)> {
+        vec![
+            ("%c", Value::Char(b'c')),
+            ("%d", Value::Int32(-1)),
+            ("%ud", Value::UInt32(2)),
+            ("%ld", Value::Int64(-3)),
+            ("%uld", Value::UInt64(4)),
+            ("%f", Value::Float(0.5)),
+            ("%lf", Value::Double(-0.25)),
+            ("%s", Value::Str("s".into())),
+            ("%ac", Value::CharArray(vec![1, 2])),
+            ("%ad", Value::Int32Array(vec![-1, 1])),
+            ("%aud", Value::UInt32Array(vec![1])),
+            ("%ald", Value::Int64Array(vec![-2])),
+            ("%auld", Value::UInt64Array(vec![2])),
+            ("%af", Value::FloatArray(vec![1.5])),
+            ("%alf", Value::DoubleArray(vec![2.5])),
+            ("%as", Value::StrArray(vec!["a".into(), String::new()])),
+            ("%u", Value::UInt32(5)),
+            ("%lu", Value::UInt64(6)),
+        ]
+    }
+
+    /// True when the packet's typed payload holds its value inline.
+    fn inline(p: &Packet) -> bool {
+        matches!(p.inner.values(), Values::One(_))
+    }
+
     #[test]
     fn construction_validates_format() {
         let err = Packet::with_fmt_str(0, 0, "%d", vec![Value::Float(1.0)]).unwrap_err();
         assert!(matches!(err, PacketError::TypeMismatch { .. }));
+        let fmt = FormatString::parse("%d %d").unwrap();
+        let err = Packet::new(0, 0, fmt.clone(), vec![Value::Int32(1)]).unwrap_err();
+        assert_eq!(
+            err,
+            PacketError::ArityMismatch {
+                expected: 2,
+                actual: 1
+            }
+        );
+        let three = vec![Value::Int32(1); 3];
+        let err = Packet::new(0, 0, fmt.clone(), three).unwrap_err();
+        assert!(matches!(err, PacketError::ArityMismatch { actual: 3, .. }));
+        let err = Packet::new(0, 0, fmt, vec![Value::Int32(1), Value::Int64(2)]).unwrap_err();
+        assert_eq!(
+            err,
+            PacketError::TypeMismatch {
+                index: 1,
+                expected: "%d",
+                actual: "%ld"
+            }
+        );
+        let err = Packet::with_fmt_str(0, 0, "", vec![Value::Int32(1)]).unwrap_err();
+        assert!(matches!(
+            err,
+            PacketError::ArityMismatch { expected: 0, .. }
+        ));
+    }
+
+    #[test]
+    fn derived_format_is_the_canonical_parse_of_every_specifier() {
+        let cases = every_specifier();
+        let codes: Vec<_> = cases[..16].iter().map(|(_, v)| v.type_code()).collect();
+        assert_eq!(codes, crate::value::TypeCode::ALL);
+        for (spec, value) in &cases {
+            let parsed = FormatString::parse(spec).unwrap();
+            let eager = Packet::new(0, 0, parsed.clone(), vec![value.clone()]).unwrap();
+            assert_eq!(eager.fmt(), parsed, "{spec}");
+            assert_eq!(lazy(&eager).fmt(), parsed, "{spec}");
+            assert_eq!(eager.fmt().to_string(), parsed.canonical(), "{spec}");
+        }
+        let text: Vec<_> = cases.iter().map(|(spec, _)| *spec).collect();
+        let values: Vec<_> = cases.into_iter().map(|(_, v)| v).collect();
+        let parsed = FormatString::parse(&text.join(" ")).unwrap();
+        let all = Packet::new(0, 0, parsed.clone(), values).unwrap();
+        assert_eq!(all.fmt(), parsed);
+        assert_eq!(
+            all.fmt().to_string(),
+            "%c %d %ud %ld %uld %f %lf %s %ac %ad %aud %ald %auld %af %alf %as %ud %uld"
+        );
+    }
+
+    #[test]
+    fn every_payload_size_agrees_eager_and_lazy() {
+        let kinds = every_specifier();
+        for n in [0, 1, 2, 40] {
+            let values: Vec<_> = (0..n).map(|i| kinds[i % kinds.len()].1.clone()).collect();
+            let mut builder = PacketBuilder::new(4, 5).src(6);
+            for v in &values {
+                builder = builder.push(v.clone());
+            }
+            let eager = builder.build();
+            let wire = encode_packet(&eager);
+            let made = Packet::new(4, 5, eager.fmt(), values.clone())
+                .unwrap()
+                .with_src(6);
+            let decoded = decode_packet(wire.clone()).unwrap();
+            let untouched = lazy(&eager);
+            assert_eq!(encode_packet(&untouched), wire);
+            assert!(untouched.is_lazy(), "re-encoding must not materialize");
+            let read = lazy(&eager);
+            assert_eq!(read.values(), &values[..], "{n} values");
+            // A header edit and its undo drop the raw bytes, so this one
+            // re-encodes from its materialized values.
+            let rewritten = lazy(&eager).with_src(99).with_src(6);
+            assert!(rewritten.raw_wire().is_none());
+            for p in [&eager, &made, &decoded, &untouched, &read, &rewritten] {
+                assert_eq!(p, &eager, "{n} values");
+                assert_eq!(p.values(), &values[..], "{n} values");
+                assert_eq!(p.arity(), n);
+                assert_eq!(p.encoded_size_hint(), wire.len(), "{n} values");
+                assert_eq!(encode_packet(p), wire, "{n} values re-encode");
+                assert_eq!(inline(p), n == 1, "{n} values");
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_values_keep_their_order() {
+        let mut values = Values::default();
+        let mut expected = Vec::new();
+        for i in 0..4 {
+            assert_eq!(&*values, &expected[..]);
+            values.push(Value::Int32(i));
+            expected.push(Value::Int32(i));
+        }
+        assert_eq!(&*values, &expected[..]);
+        let p = PacketBuilder::new(0, 0)
+            .push(0i32)
+            .push("one")
+            .push(2.0f64)
+            .build();
+        assert_eq!(
+            p.values(),
+            [
+                Value::Int32(0),
+                Value::Str("one".into()),
+                Value::Double(2.0)
+            ]
+        );
+        assert!(inline(&PacketBuilder::new(0, 0).push(0i32).build()));
     }
 
     #[test]
@@ -521,6 +685,11 @@ mod tests {
     #[test]
     fn lazy_packet_fits_in_one_cache_line() {
         assert!(std::mem::size_of::<PacketInner>() <= 64);
+    }
+
+    #[test]
+    fn packet_is_one_pointer() {
+        assert_eq!(std::mem::size_of::<Packet>(), std::mem::size_of::<usize>());
     }
 
     #[test]
